@@ -472,6 +472,16 @@ macro_rules! signed_key_codec {
 
 signed_key_codec!(i8 => u8, i16 => u16, i32 => u32, i64 => u64, i128 => u128);
 
+/// The empty payload: zero bytes on the wire.  A set is a map with
+/// `V = ()`, so a set's durable records carry no value bytes at all.
+impl KeyCodec for () {
+    const WIDTH: usize = 0;
+
+    fn encode(&self, _buf: &mut [u8]) {}
+
+    fn decode(_buf: &[u8]) {}
+}
+
 /// An ordered set of keys driven by sorted operation batches.
 ///
 /// This is the workspace's unified set interface: the interpolation search
@@ -1234,6 +1244,14 @@ mod tests {
         check::<i128>(&[i128::MIN, -1, 0, i128::MAX]);
         assert_eq!(<u64 as KeyCodec>::WIDTH, 8);
         assert_eq!(<i32 as KeyCodec>::WIDTH, 4);
+    }
+
+    #[test]
+    fn unit_codec_round_trips_in_zero_bytes() {
+        assert_eq!(<() as KeyCodec>::WIDTH, 0);
+        let mut buf: [u8; 0] = [];
+        ().encode(&mut buf);
+        <() as KeyCodec>::decode(&buf);
     }
 
     #[test]

@@ -57,12 +57,18 @@
 //! memory, not yet fsynced under `group_commit > 1`) may or may not
 //! survive — whole trailing rounds, never fractions of one.
 //!
-//! # Maps
+//! # One engine, one on-disk format
 //!
-//! [`DurableMap`] is the key-value variant: the same WAL/snapshot/recover
-//! protocol in a *version-2* on-disk dialect whose upsert records and
-//! snapshots carry value payloads.  See the [`map`] module docs for the
-//! dialect and its (mutex-serialised, combiner-less) concurrency model.
+//! A set is a map with `V = ()`: [`DurableSet`] and [`DurableMap`] share
+//! one private WAL engine and write one format.  Every segment and
+//! snapshot header records the value width `V::WIDTH`; a record op is
+//! `[kind][key][V::WIDTH value bytes]` with kind put or remove, so a
+//! set's ops carry no value bytes; a snapshot holds `(key, value)`
+//! entries.  A directory written for another value width — a set's
+//! opened as a map, or a map's as a set — is refused with `InvalidData`
+//! and left exactly as it was, and so is one written in the retired
+//! pre-width dialects.  The tiers differ only in concurrency: see the
+//! [`map`] module docs.
 //!
 //! # Example
 //!
@@ -96,29 +102,21 @@ mod log;
 pub mod map;
 mod record;
 mod snapshot;
+mod wal;
 
 pub use map::DurableMap;
 
-use std::collections::BTreeSet;
 use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::path::Path;
+use std::sync::Mutex;
 
 use batchapi::{Batch, BatchedSet, KeyCodec};
 use combine::{ConcurrentSet, OpKind, Options};
 use forkjoin::Pool;
-use obs::{Counter, Gauge, Histogram, Registry};
 
-use crate::log::{
-    list_segments, replay_segment, truncate_segment, SegmentEnd, SegmentLog, SEGMENT_MAGIC,
-};
-use crate::record::{encode_record, WalOp};
-use crate::snapshot::{
-    commit_manifest, load_snapshot, read_manifest, remove_stale_snapshots, snapshot_path,
-    write_snapshot,
-};
+use crate::wal::{Log, Wal};
 
-/// Construction-time knobs for [`DurableSet`].
+/// Construction-time knobs for [`DurableSet`] and [`DurableMap`].
 #[derive(Debug, Clone)]
 pub struct DurableOptions {
     /// Mutation records per `fsync`: `1` makes every op durable before it
@@ -148,77 +146,6 @@ impl Default for DurableOptions {
     }
 }
 
-/// The wal-side mutable state, all under one mutex: the lock is what makes
-/// WAL append order equal round commit order.
-#[derive(Debug)]
-struct Wal {
-    log: SegmentLog,
-    /// Seq of the last record appended (starts at the recovery mark).
-    appended_seq: u64,
-    /// Highest segment name ever created; names must strictly increase so
-    /// that segment-name order stays append order (see `next_name`).
-    last_name: u64,
-    /// Records appended since the last fsync.
-    pending: u64,
-    /// Records appended since the last snapshot.
-    since_snapshot: u64,
-    /// Encode scratch, reused across appends.
-    buf: Vec<u8>,
-    /// Set when an I/O error left the on-disk log in an unknown state;
-    /// every later durability call refuses, because appending past a
-    /// possibly-partial record would corrupt the log.  The in-memory set
-    /// keeps working; reopening the directory recovers the durable prefix.
-    wedged: bool,
-}
-
-impl Wal {
-    /// The name for the next segment: past the last appended record *and*
-    /// past every name already used (post-snapshot segments can carry
-    /// late-drained records numbered below their name, so `appended_seq`
-    /// alone could repeat a name and truncate a live segment).
-    fn next_name(&self) -> u64 {
-        (self.appended_seq + 1).max(self.last_name + 1)
-    }
-}
-
-/// Handles to the `durable.*` metrics, resolved once at construction.
-#[derive(Debug)]
-struct Metrics {
-    rounds_drained: Arc<Counter>,
-    records_appended: Arc<Counter>,
-    bytes_written: Arc<Counter>,
-    fsyncs: Arc<Counter>,
-    snapshots: Arc<Counter>,
-    segments_created: Arc<Counter>,
-    segments_deleted: Arc<Counter>,
-    torn_tails: Arc<Counter>,
-    group_size: Arc<Histogram>,
-    recovery_replayed: Arc<Histogram>,
-    appended_seq: Arc<Gauge>,
-    durable_seq: Arc<Gauge>,
-    snapshot_seq: Arc<Gauge>,
-}
-
-impl Metrics {
-    fn new(registry: &Registry) -> Metrics {
-        Metrics {
-            rounds_drained: registry.counter("durable.rounds_drained"),
-            records_appended: registry.counter("durable.records_appended"),
-            bytes_written: registry.counter("durable.bytes_written"),
-            fsyncs: registry.counter("durable.fsyncs"),
-            snapshots: registry.counter("durable.snapshots"),
-            segments_created: registry.counter("durable.segments_created"),
-            segments_deleted: registry.counter("durable.segments_deleted"),
-            torn_tails: registry.counter("durable.torn_tails"),
-            group_size: registry.histogram("durable.group_size"),
-            recovery_replayed: registry.histogram("durable.recovery_replayed"),
-            appended_seq: registry.gauge("durable.appended_seq"),
-            durable_seq: registry.gauge("durable.durable_seq"),
-            snapshot_seq: registry.gauge("durable.snapshot_seq"),
-        }
-    }
-}
-
 /// A durable concurrent set: a [`combine::ConcurrentSet`] whose committed
 /// rounds are appended to an on-disk write-ahead log, checkpointed by
 /// snapshots, and recovered by [`DurableSet::open`].  See the crate docs
@@ -235,12 +162,12 @@ where
     S: BatchedSet<K> + Send,
 {
     inner: ConcurrentSet<K, S>,
-    wal: Mutex<Wal>,
-    dir: PathBuf,
-    group_commit: u64,
-    snapshot_every: u64,
-    registry: Registry,
-    metrics: Metrics,
+    /// The WAL engine, instantiated with no values: a set is a map with
+    /// `V = ()`.
+    wal: Wal<K, ()>,
+    /// The wal lock: taken after each op to drain the combiner's rounds,
+    /// it makes WAL append order equal round commit order.
+    log: Mutex<Log>,
 }
 
 impl<K, S> DurableSet<K, S>
@@ -260,7 +187,9 @@ where
     /// I/O failure, or `InvalidData` when a *committed* artefact (the
     /// manifest or the snapshot it points to) is damaged — that is real
     /// corruption, unlike a torn log tail, which is an expected crash
-    /// signature and recovered from silently.
+    /// signature and recovered from silently.  A directory written by a
+    /// [`DurableMap`] (or in a retired on-disk dialect) is refused with
+    /// `InvalidData` too, and left untouched.
     pub fn open<P, F>(
         dir: P,
         pool: Pool,
@@ -271,124 +200,24 @@ where
         P: AsRef<Path>,
         F: FnOnce(Batch<K>) -> S,
     {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        let registry = Registry::new();
-        let metrics = Metrics::new(&registry);
-
-        // 1. The snapshot, if one was ever committed.
-        let mut contents: BTreeSet<K> = BTreeSet::new();
-        let mut snap_seq = 0u64;
-        if let Some((seq, path)) = read_manifest(&dir)? {
-            let (file_seq, keys) = load_snapshot::<K>(&path)?;
-            if file_seq != seq {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "manifest says seq {seq} but snapshot {} says {file_seq}",
-                        path.display()
-                    ),
-                ));
-            }
-            snap_seq = seq;
-            contents.extend(keys);
-        }
-        metrics.snapshot_seq.set(snap_seq);
-
-        // 2. Replay the log tail in segment-name (= append) order.  A
-        //    record seq that fails to strictly increase is treated like a
-        //    checksum failure: the valid log ends there.
-        let segments = list_segments(&dir)?;
-        let mut max_seq = snap_seq;
-        let mut last_record_seq = 0u64;
-        let mut replayed = 0u64;
-        let mut tear: Option<(usize, u64)> = None;
-        for (i, (_, path)) in segments.iter().enumerate() {
-            let end = replay_segment::<K, _>(path, |record| {
-                if record.seq <= last_record_seq {
-                    return false;
-                }
-                last_record_seq = record.seq;
-                if record.seq > snap_seq {
-                    for (op, key) in record.ops {
-                        match op {
-                            WalOp::Insert => contents.insert(key),
-                            WalOp::Remove => contents.remove(&key),
-                        };
-                    }
-                    max_seq = record.seq;
-                    replayed += 1;
-                }
-                true
-            })?;
-            if let SegmentEnd::Torn(offset) = end {
-                tear = Some((i, offset));
-                break;
-            }
-        }
-
-        // 3. Heal a tear: truncate the damaged segment at the tear and
-        //    delete everything appended after it — point-in-time recovery
-        //    to the last valid record.
-        if let Some((i, offset)) = tear {
-            metrics.torn_tails.inc();
-            if offset == 0 {
-                // No valid prefix — not even the magic.  Truncating would
-                // leave a headerless file that replays as torn on every
-                // future open; delete it instead.
-                std::fs::remove_file(&segments[i].1)?;
-                metrics.segments_deleted.inc();
-            } else {
-                truncate_segment(&segments[i].1, offset)?;
-            }
-            for (_, path) in &segments[i + 1..] {
-                std::fs::remove_file(path)?;
-                metrics.segments_deleted.inc();
-            }
-            log::sync_dir(&dir)?;
-        }
-        metrics.recovery_replayed.record(replayed);
-
-        // 4. A fresh active segment, named past every survivor so that
-        //    name order stays append order across process lifetimes.
-        let highest_name = segments.iter().map(|&(seq, _)| seq).max().unwrap_or(0);
-        let name = (max_seq + 1).max(highest_name + 1);
-        let log = SegmentLog::create(&dir, name, options.segment_bytes.max(1), SEGMENT_MAGIC)?;
-        metrics.segments_created.inc();
-
-        // 5. The backend, from the recovered contents, with round
-        //    numbering continuing where the history left off.
-        let keys: Vec<K> = contents.into_iter().collect();
-        let batch = Batch::from_sorted(keys).expect("BTreeSet iterates strictly ascending");
-        let backend = make_backend(batch);
+        let (wal, log, contents) = Wal::open(dir.as_ref(), &options)?;
+        // The backend, from the recovered contents, with round numbering
+        // continuing where the history left off.
+        let keys: Vec<K> = contents.into_keys().collect();
+        let batch = Batch::from_sorted(keys).expect("BTreeMap iterates strictly ascending");
         let inner = ConcurrentSet::with_options(
-            backend,
+            make_backend(batch),
             pool,
             Options {
                 log_rounds: true,
-                first_seq: max_seq,
+                first_seq: log.appended_seq(),
                 ..options.combine
             },
         );
-
-        metrics.appended_seq.set(max_seq);
-        metrics.durable_seq.set(max_seq);
         Ok(DurableSet {
             inner,
-            wal: Mutex::new(Wal {
-                log,
-                appended_seq: max_seq,
-                last_name: name,
-                pending: 0,
-                since_snapshot: 0,
-                buf: Vec::new(),
-                wedged: false,
-            }),
-            dir,
-            group_commit: options.group_commit.max(1),
-            snapshot_every: options.snapshot_every,
-            registry,
-            metrics,
+            wal,
+            log: Mutex::new(log),
         })
     }
 
@@ -396,46 +225,34 @@ where
     /// return only under `group_commit: 1` — otherwise durable once
     /// [`DurableSet::durable_seq`] passes its round (see the crate docs).
     pub fn insert(&self, key: K) -> io::Result<bool> {
-        let result = self.inner.insert(key);
-        self.publish()?;
-        Ok(result)
+        self.publish(self.inner.insert(key))
     }
 
     /// Removes `key`; `Ok(true)` iff it was present.
     pub fn remove(&self, key: &K) -> io::Result<bool> {
-        let result = self.inner.remove(key);
-        self.publish()?;
-        Ok(result)
+        self.publish(self.inner.remove(key))
     }
 
     /// Membership test.  Reads change nothing, but the call still
     /// publishes: it may drain and append *other* clients' committed
     /// rounds, which is why it, too, can fail.
     pub fn contains(&self, key: &K) -> io::Result<bool> {
-        let result = self.inner.contains(key);
-        self.publish()?;
-        Ok(result)
+        self.publish(self.inner.contains(key))
     }
 
     /// Batch insert; one combining round, one WAL record.
     pub fn batch_insert(&self, batch: &Batch<K>) -> io::Result<Vec<bool>> {
-        let result = self.inner.batch_insert(batch);
-        self.publish()?;
-        Ok(result)
+        self.publish(self.inner.batch_insert(batch))
     }
 
     /// Batch remove; one combining round, one WAL record.
     pub fn batch_remove(&self, batch: &Batch<K>) -> io::Result<Vec<bool>> {
-        let result = self.inner.batch_remove(batch);
-        self.publish()?;
-        Ok(result)
+        self.publish(self.inner.batch_remove(batch))
     }
 
     /// Batch membership test (publishes, like [`DurableSet::contains`]).
     pub fn batch_contains(&self, batch: &Batch<K>) -> io::Result<Vec<bool>> {
-        let result = self.inner.batch_contains(batch);
-        self.publish()?;
-        Ok(result)
+        self.publish(self.inner.batch_contains(batch))
     }
 
     /// Number of keys in the set (in memory; does not publish).
@@ -451,10 +268,10 @@ where
     /// Forces everything committed so far onto disk and returns the new
     /// durable high-water sequence number.
     pub fn sync(&self) -> io::Result<u64> {
-        self.with_wal(|this, wal| {
-            this.drain_into(wal)?;
-            this.fsync_wal(wal)?;
-            Ok(this.metrics.durable_seq.get())
+        self.with_log(|log| {
+            self.drain_into(log)?;
+            self.wal.fsync(log)?;
+            Ok(self.wal.durable_seq())
         })
     }
 
@@ -462,9 +279,9 @@ where
     /// and truncates the log; returns the snapshot's sequence number.
     /// Everything at or below it is durable when this returns.
     pub fn snapshot(&self) -> io::Result<u64> {
-        self.with_wal(|this, wal| {
-            this.drain_into(wal)?;
-            this.snapshot_wal(wal)
+        self.with_log(|log| {
+            self.drain_into(log)?;
+            self.snapshot_into(log)
         })
     }
 
@@ -472,14 +289,14 @@ where
     /// has reached disk (via fsynced records or a committed snapshot) and
     /// survives any crash.
     pub fn durable_seq(&self) -> u64 {
-        self.metrics.durable_seq.get()
+        self.wal.durable_seq()
     }
 
     /// Snapshot of the `durable.*` metrics (see the README's metrics
     /// table).  The wrapped front-end's `combine.*` metrics live on
     /// [`DurableSet::inner`]`.metrics()`.
     pub fn metrics(&self) -> obs::Snapshot {
-        self.registry.snapshot()
+        self.wal.metrics()
     }
 
     /// The wrapped flat-combining front-end, for its stats, metrics and
@@ -498,106 +315,46 @@ where
 
     /// The post-op durability step: under the wal lock, drain every
     /// committed round, append the mutations, and run group commit and
-    /// the snapshot policy.  See the crate docs' protocol section.
-    fn publish(&self) -> io::Result<()> {
-        self.with_wal(|this, wal| {
-            this.drain_into(wal)?;
-            if wal.pending >= this.group_commit {
-                this.fsync_wal(wal)?;
-            }
-            if this.snapshot_every > 0 && wal.since_snapshot >= this.snapshot_every {
-                this.snapshot_wal(wal)?;
-            }
-            Ok(())
-        })
+    /// the snapshot cadence (see the crate docs' protocol section); then
+    /// hand back the op's `result`.
+    fn publish<T>(&self, result: T) -> io::Result<T> {
+        self.with_log(|log| {
+            self.drain_into(log)?;
+            self.wal.commit(log, |log| self.snapshot_into(log))
+        })?;
+        Ok(result)
     }
 
-    /// Runs `f` under the wal lock with wedge bookkeeping: refuse if a
-    /// previous call failed, wedge if this one does.
-    fn with_wal<T>(&self, f: impl FnOnce(&Self, &mut Wal) -> io::Result<T>) -> io::Result<T> {
-        let mut wal = self.wal.lock().unwrap();
-        if wal.wedged {
-            return Err(io::Error::other(
-                "durable set wedged by an earlier I/O error; reopen the directory to recover",
-            ));
-        }
-        let result = f(self, &mut wal);
-        if result.is_err() {
-            wal.wedged = true;
-        }
-        result
+    /// Runs `f` under the wal lock and the engine's wedge rule.
+    fn with_log<T>(&self, f: impl FnOnce(&mut Log) -> io::Result<T>) -> io::Result<T> {
+        self.log
+            .lock()
+            .expect("durable set poisoned: a thread panicked holding the wal lock")
+            .guard(f)
     }
 
     /// Drains the combiner's round log and appends one record per
     /// mutation round.  Caller holds the wal lock.
-    fn drain_into(&self, wal: &mut Wal) -> io::Result<()> {
+    fn drain_into(&self, log: &mut Log) -> io::Result<()> {
         let rounds = self.inner.take_rounds();
-        if rounds.is_empty() {
-            return Ok(());
-        }
-        self.metrics.rounds_drained.add(rounds.len() as u64);
+        self.wal.count_rounds(rounds.len());
         for round in &rounds {
             // Keep only ops that changed state: reads replay to nothing,
             // and a failed insert/remove is a no-op too.  Sequence gaps
             // this leaves in the WAL are expected (crate docs).
-            let muts: Vec<(WalOp, &K)> = round
-                .ops
-                .iter()
-                .filter_map(|op| match op.kind {
-                    OpKind::Insert if op.result => Some((WalOp::Insert, &op.key)),
-                    OpKind::Remove if op.result => Some((WalOp::Remove, &op.key)),
-                    _ => None,
-                })
-                .collect();
-            if muts.is_empty() {
-                continue;
-            }
-            if wal.log.wants_rotation() {
-                // Seal the active segment before abandoning it: its
-                // records must never wait on a rotated-away fd.
-                self.fsync_wal(wal)?;
-                let name = wal.next_name();
-                wal.log.rotate(name)?;
-                wal.last_name = name;
-                self.metrics.segments_created.inc();
-            }
-            let mut buf = std::mem::take(&mut wal.buf);
-            buf.clear();
-            encode_record(round.seq, &muts, &mut buf);
-            let appended = wal.log.append(&buf);
-            self.metrics.bytes_written.add(buf.len() as u64);
-            wal.buf = buf;
-            appended?;
-            self.metrics.records_appended.inc();
-            wal.appended_seq = round.seq;
-            wal.pending += 1;
-            wal.since_snapshot += 1;
-            self.metrics.appended_seq.set(round.seq);
+            let muts = round.ops.iter().filter_map(|op| match op.kind {
+                OpKind::Insert if op.result => Some((&op.key, Some(&()))),
+                OpKind::Remove if op.result => Some((&op.key, None)),
+                _ => None,
+            });
+            self.wal.append(log, round.seq, muts)?;
         }
         Ok(())
     }
 
-    /// Fsyncs the active segment, advancing the durable mark over every
-    /// pending record.  Caller holds the wal lock.
-    fn fsync_wal(&self, wal: &mut Wal) -> io::Result<()> {
-        if wal.pending == 0 {
-            return Ok(());
-        }
-        wal.log.sync()?;
-        self.metrics.fsyncs.inc();
-        self.metrics.group_size.record(wal.pending);
-        wal.pending = 0;
-        self.metrics.durable_seq.set_max(wal.appended_seq);
-        Ok(())
-    }
-
-    /// Takes and commits a snapshot, then truncates the log.  Caller
-    /// holds the wal lock and has drained.
-    fn snapshot_wal(&self, wal: &mut Wal) -> io::Result<u64> {
-        // Seal what is already appended: the snapshot supersedes it, but
-        // if the snapshot fails mid-way the log must still stand alone.
-        self.fsync_wal(wal)?;
-
+    /// Snapshots the set and truncates the log.  Caller holds the wal
+    /// lock and has drained.
+    fn snapshot_into(&self, log: &mut Log) -> io::Result<u64> {
         // One linearisation point: contents plus their high-water seq,
         // read from the combiner-published snapshot (no round entered).
         // Every record drained above carries seq <= snap_seq, because its
@@ -606,30 +363,8 @@ where
         // drain and this load land in the *next* segment with seq <= snap
         // — skipped at replay, harmless (the snapshot already holds them).
         let (keys, snap_seq) = self.inner.snapshot_keys();
-        let name = write_snapshot(&self.dir, snap_seq, &keys)?;
-        commit_manifest(&self.dir, snap_seq, &name)?;
-        self.metrics.snapshots.inc();
-        self.metrics.snapshot_seq.set(snap_seq);
-        self.metrics.durable_seq.set_max(snap_seq);
-
-        // Every record in every segment now has seq <= snap_seq: the
-        // snapshot covers them all, so truncation deletes whole segments.
-        let survivors = list_segments(&self.dir)?;
-        let next = wal.next_name().max(snap_seq + 1);
-        wal.log.rotate(next)?;
-        wal.last_name = next;
-        self.metrics.segments_created.inc();
-        let active = log::segment_path(&self.dir, next);
-        for (_, path) in survivors {
-            if path != active {
-                std::fs::remove_file(&path)?;
-                self.metrics.segments_deleted.inc();
-            }
-        }
-        remove_stale_snapshots(&self.dir, &snapshot_path(&self.dir, snap_seq))?;
-        log::sync_dir(&self.dir)?;
-        wal.since_snapshot = 0;
-        Ok(snap_seq)
+        self.wal
+            .snapshot(log, snap_seq, keys.iter().map(|key| (key, &())))
     }
 }
 
@@ -639,23 +374,24 @@ where
     S: BatchedSet<K> + Send,
 {
     fn drop(&mut self) {
-        // Best-effort final drain + fsync; `close()` is the error-
-        // reporting path.  Skip when wedged (appending could corrupt) or
-        // when the wal mutex is poisoned by a panicking thread.
-        let Ok(mut wal) = self.wal.lock() else { return };
-        if wal.wedged || self.inner.is_poisoned() {
-            return;
+        // Best-effort final drain (the engine's log fsyncs it as it
+        // drops), skipped when the front-end or the wal mutex is poisoned.
+        if !self.inner.is_poisoned() {
+            if let Ok(mut log) = self.log.lock() {
+                let _ = log.guard(|log| self.drain_into(log));
+            }
         }
-        let _ = self
-            .drain_into(&mut wal)
-            .and_then(|()| self.fsync_wal(&mut wal));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::list_segments;
+    use std::collections::BTreeSet;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
     use std::thread;
 
     /// A plain sorted-vec backend, enough for unit tests.

@@ -13,8 +13,11 @@
 //!    segment redundant (all have seq <= `S`), so truncation after a
 //!    snapshot deletes whole segments — never a byte range.
 //!
-//! Every segment opens with an 8-byte magic; a file too short for the
-//! magic, or with the wrong magic, replays as torn at offset zero.
+//! Every segment opens with the 8-byte artefact header (tag `PBWAL`,
+//! see [`crate::record`]) recording the value width its records carry.
+//! A file too short for the header, or with a damaged one, replays as
+//! torn at offset zero; a well-formed header for another value width (or
+//! a retired dialect) is refused with `InvalidData`.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -22,26 +25,20 @@ use std::path::{Path, PathBuf};
 
 use batchapi::KeyCodec;
 
-use crate::record::{decode_map_record, decode_record, DecodeOutcome, WalMapRecord, WalRecord};
+use crate::record::{self, check_header, DecodeOutcome, Record, HEADER};
 
-/// Identifies a version-1 (set) WAL segment: records carry keys only.
-pub(crate) const SEGMENT_MAGIC: &[u8; 8] = b"PBWAL\x00\x00\x01";
+/// The header tag of a WAL segment.
+const SEGMENT_TAG: &[u8; 5] = b"PBWAL";
 
-/// Identifies a version-2 (map) WAL segment: upsert records carry a value
-/// payload after the key.  The bumped magic keeps the families apart — a
-/// set opening a map's log (or vice versa) tears at offset zero instead
-/// of mis-decoding value bytes as keys.
-pub(crate) const SEGMENT_MAGIC_V2: &[u8; 8] = b"PBWAL\x00\x00\x02";
-
-/// The active segment an open [`DurableSet`](crate::DurableSet) appends to.
+/// The active segment an open durable tier appends to.
 #[derive(Debug)]
 pub(crate) struct SegmentLog {
     dir: PathBuf,
     file: File,
-    /// The magic this log stamps on every segment it creates (version 1
-    /// for set logs, version 2 for map logs); rotation preserves it.
-    magic: &'static [u8; 8],
-    /// Bytes written to the active segment (including the magic).
+    /// The value width this log stamps on every segment it creates;
+    /// rotation preserves it.
+    value_width: usize,
+    /// Bytes written to the active segment (including the header).
     bytes: u64,
     /// Rotation threshold; the active segment rotates once `bytes`
     /// exceeds it.  A single record never splits across segments.
@@ -49,24 +46,25 @@ pub(crate) struct SegmentLog {
 }
 
 impl SegmentLog {
-    /// Creates (truncating) the active segment `wal-<name_seq>.log` and
-    /// makes its directory entry durable.
+    /// Creates (truncating) the active segment `wal-<name_seq>.log` for
+    /// records carrying `value_width`-byte values, and makes its
+    /// directory entry durable.
     pub(crate) fn create(
         dir: &Path,
         name_seq: u64,
         segment_bytes: u64,
-        magic: &'static [u8; 8],
+        value_width: usize,
     ) -> io::Result<SegmentLog> {
         let path = segment_path(dir, name_seq);
         let mut file = File::create(&path)?;
-        file.write_all(magic)?;
+        file.write_all(&record::header(SEGMENT_TAG, value_width))?;
         file.sync_all()?;
         sync_dir(dir)?;
         Ok(SegmentLog {
             dir: dir.to_path_buf(),
             file,
-            magic,
-            bytes: magic.len() as u64,
+            value_width,
+            bytes: HEADER as u64,
             segment_bytes,
         })
     }
@@ -92,7 +90,7 @@ impl SegmentLog {
     /// synced the old segment first (rotation seals it; nothing ever
     /// appends to it again).
     pub(crate) fn rotate(&mut self, name_seq: u64) -> io::Result<()> {
-        let next = SegmentLog::create(&self.dir, name_seq, self.segment_bytes, self.magic)?;
+        let next = SegmentLog::create(&self.dir, name_seq, self.segment_bytes, self.value_width)?;
         *self = next;
         Ok(())
     }
@@ -143,49 +141,36 @@ pub(crate) enum SegmentEnd {
     Torn(u64),
 }
 
+/// Refuses the segment at `path` when its header is foreign to
+/// `value_width` (`InvalidData`); a damaged header passes, since replay
+/// reads it as a tear.  Recovery checks every segment this way before it
+/// heals anything.
+pub(crate) fn check_segment(path: &Path, value_width: usize) -> io::Result<()> {
+    let mut head = Vec::with_capacity(HEADER);
+    File::open(path)?
+        .take(HEADER as u64)
+        .read_to_end(&mut head)?;
+    check_header(&head, SEGMENT_TAG, value_width, path)?;
+    Ok(())
+}
+
 /// Replays one segment, feeding each valid record to `apply` in order.
 /// `apply` returns `false` to reject a record (recovery uses this to
 /// treat a non-increasing sequence number as damage); the rejected
 /// record's offset is reported as the tear.
-pub(crate) fn replay_segment<K, F>(path: &Path, apply: F) -> io::Result<SegmentEnd>
-where
-    K: KeyCodec,
-    F: FnMut(WalRecord<K>) -> bool,
-{
-    replay_segment_with(path, SEGMENT_MAGIC, decode_record::<K>, apply)
-}
-
-/// [`replay_segment`] for version-2 (map) segments: value-bearing records
-/// decoded by [`decode_map_record`].
-pub(crate) fn replay_map_segment<K, V, F>(path: &Path, apply: F) -> io::Result<SegmentEnd>
+pub(crate) fn replay<K, V, F>(path: &Path, mut apply: F) -> io::Result<SegmentEnd>
 where
     K: KeyCodec,
     V: KeyCodec,
-    F: FnMut(WalMapRecord<K, V>) -> bool,
+    F: FnMut(Record<'_, K, V>) -> bool,
 {
-    replay_segment_with(path, SEGMENT_MAGIC_V2, decode_map_record::<K, V>, apply)
-}
-
-/// Shared replay loop: verify the expected magic, then decode records
-/// with `decode` until the buffer ends cleanly or tears.
-fn replay_segment_with<R, D, F>(
-    path: &Path,
-    magic: &[u8; 8],
-    decode: D,
-    mut apply: F,
-) -> io::Result<SegmentEnd>
-where
-    D: Fn(&[u8], usize) -> DecodeOutcome<R>,
-    F: FnMut(R) -> bool,
-{
-    let mut buf = Vec::new();
-    File::open(path)?.read_to_end(&mut buf)?;
-    if buf.len() < magic.len() || &buf[..magic.len()] != magic {
+    let buf = fs::read(path)?;
+    if !check_header(&buf, SEGMENT_TAG, V::WIDTH, path)? {
         return Ok(SegmentEnd::Torn(0));
     }
-    let mut at = magic.len();
+    let mut at = HEADER;
     loop {
-        match decode(&buf, at) {
+        match record::decode::<K, V>(&buf, at) {
             DecodeOutcome::Clean => return Ok(SegmentEnd::Clean),
             DecodeOutcome::Torn => return Ok(SegmentEnd::Torn(at as u64)),
             DecodeOutcome::Record { record, consumed } => {
@@ -226,7 +211,6 @@ pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{encode_record, WalOp};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static DIR_ID: AtomicU64 = AtomicU64::new(0);
@@ -243,7 +227,7 @@ mod tests {
 
     fn one_record(seq: u64, key: u64) -> Vec<u8> {
         let mut buf = Vec::new();
-        encode_record(seq, &[(WalOp::Insert, &key)], &mut buf);
+        record::encode(seq, [(&key, Some(&()))], &mut buf);
         buf
     }
 
@@ -251,7 +235,7 @@ mod tests {
     fn append_replay_round_trips_across_rotation() {
         let dir = scratch_dir("rotate");
         // Tiny threshold: every record trips rotation.
-        let mut log = SegmentLog::create(&dir, 1, 16, SEGMENT_MAGIC).unwrap();
+        let mut log = SegmentLog::create(&dir, 1, 16, 0).unwrap();
         for seq in 1..=5u64 {
             if log.wants_rotation() {
                 log.sync().unwrap();
@@ -267,8 +251,8 @@ mod tests {
 
         let mut seen = Vec::new();
         for (_, path) in &segments {
-            let end = replay_segment::<u64, _>(path, |r| {
-                seen.push((r.seq, r.ops.clone()));
+            let end = replay::<u64, (), _>(path, |r| {
+                seen.push((r.seq, r.ops().collect::<Vec<_>>()));
                 true
             })
             .unwrap();
@@ -277,7 +261,7 @@ mod tests {
         assert_eq!(
             seen,
             (1..=5u64)
-                .map(|s| (s, vec![(WalOp::Insert, s * 10)]))
+                .map(|s| (s, vec![(s * 10, Some(()))]))
                 .collect::<Vec<_>>()
         );
         fs::remove_dir_all(&dir).unwrap();
@@ -286,7 +270,7 @@ mod tests {
     #[test]
     fn torn_tail_reports_the_valid_prefix_and_truncation_heals_it() {
         let dir = scratch_dir("torn");
-        let mut log = SegmentLog::create(&dir, 1, u64::MAX, SEGMENT_MAGIC).unwrap();
+        let mut log = SegmentLog::create(&dir, 1, u64::MAX, 0).unwrap();
         log.append(&one_record(1, 7)).unwrap();
         let valid_end = log.bytes();
         let mut partial = one_record(2, 8);
@@ -296,7 +280,7 @@ mod tests {
 
         let path = segment_path(&dir, 1);
         let mut count = 0;
-        let end = replay_segment::<u64, _>(&path, |_| {
+        let end = replay::<u64, (), _>(&path, |_| {
             count += 1;
             true
         })
@@ -305,28 +289,50 @@ mod tests {
         assert_eq!(end, SegmentEnd::Torn(valid_end));
 
         truncate_segment(&path, valid_end).unwrap();
-        let end = replay_segment::<u64, _>(&path, |_| true).unwrap();
+        let end = replay::<u64, (), _>(&path, |_| true).unwrap();
         assert_eq!(end, SegmentEnd::Clean);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn foreign_or_headerless_file_is_torn_at_zero() {
-        let dir = scratch_dir("magic");
+        // Not a segment at all (no well-formed header): damage, not a
+        // refusal.
+        let dir = scratch_dir("header");
         let path = segment_path(&dir, 3);
         fs::write(&path, b"not a wal segment").unwrap();
-        let end = replay_segment::<u64, _>(&path, |_| panic!("no records")).unwrap();
+        let end = replay::<u64, (), _>(&path, |_| panic!("no records")).unwrap();
         assert_eq!(end, SegmentEnd::Torn(0));
         fs::write(&path, b"xy").unwrap();
-        let end = replay_segment::<u64, _>(&path, |_| panic!("no records")).unwrap();
+        let end = replay::<u64, (), _>(&path, |_| panic!("no records")).unwrap();
         assert_eq!(end, SegmentEnd::Torn(0));
+        check_segment(&path, 0).expect("damage is not foreign");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn another_value_width_is_refused_not_torn() {
+        let dir = scratch_dir("width");
+        let mut log = SegmentLog::create(&dir, 1, u64::MAX, 0).unwrap();
+        log.append(&one_record(1, 7)).unwrap();
+        log.sync().unwrap();
+        let path = segment_path(&dir, 1);
+        let before = fs::read(&path).unwrap();
+        let refused = replay::<u64, u64, _>(&path, |_| panic!("no records")).unwrap_err();
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            check_segment(&path, 8).unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
+        check_segment(&path, 0).expect("its own width passes");
+        assert_eq!(fs::read(&path).unwrap(), before, "refusal touches nothing");
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn listing_ignores_non_segment_files() {
         let dir = scratch_dir("list");
-        SegmentLog::create(&dir, 2, 64, SEGMENT_MAGIC).unwrap();
+        SegmentLog::create(&dir, 2, 64, 0).unwrap();
         fs::write(dir.join("MANIFEST"), b"m").unwrap();
         fs::write(dir.join("snap-00000000000000000001.snap"), b"s").unwrap();
         fs::write(dir.join("wal-junk.log"), b"j").unwrap();

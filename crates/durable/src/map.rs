@@ -1,14 +1,9 @@
 //! Durable key-value maps: the map-tier sibling of [`DurableSet`].
 //!
 //! A [`DurableMap`] persists a [`batchapi::BatchedMap`] backend with the
-//! same artefacts as the set tier — an append-only segment WAL, key-value
-//! snapshots, an atomically-committed manifest — but in the *version-2*
-//! on-disk dialect: segments open with the bumped magic
-//! (`PBWAL\x00\x00\x02`), upsert records carry a value payload after the
-//! key (`KIND_INSERT_KV`), and snapshots store `(key, value)` entries
-//! (`PBSNAP\x00\x02`).  Each dialect's recovery rejects the other's
-//! artefacts — a set log never replays into a map or vice versa, and an
-//! unknown record kind reads as a torn tail, never as invented data.
+//! same engine and the same on-disk format as the set tier (see the
+//! [crate docs](crate)); its records and snapshots carry `V::WIDTH` value
+//! bytes where the set's carry none.
 //!
 //! # Concurrency model
 //!
@@ -33,50 +28,31 @@
 //!
 //! [`DurableSet`]: crate::DurableSet
 
-use std::collections::BTreeMap;
 use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::path::Path;
+use std::sync::{Mutex, MutexGuard};
 
 use batchapi::{Batch, BatchedMap, KeyCodec, KvBatch};
-use obs::Registry;
 
-use crate::log::{
-    list_segments, replay_map_segment, truncate_segment, SegmentEnd, SegmentLog, SEGMENT_MAGIC_V2,
-};
-use crate::record::{encode_map_record, WalMapOp, WalMapOpRef};
-use crate::snapshot::{
-    commit_manifest, load_kv_snapshot, read_manifest, remove_stale_snapshots, snapshot_path,
-    write_kv_snapshot,
-};
-use crate::{log, DurableOptions, Metrics, Wal};
-
-/// The backend and its WAL, under one mutex: the shared critical section
-/// is what makes append order equal commit order (see the module docs).
-struct MapInner<M> {
-    map: M,
-    wal: Wal,
-}
+use crate::wal::{Log, Wal};
+use crate::DurableOptions;
 
 /// A durable concurrent map: a [`batchapi::BatchedMap`] backend whose
-/// mutations are appended — values included — to a version-2 write-ahead
-/// log, checkpointed by key-value snapshots, and recovered by
-/// [`DurableMap::open`].  See the [module docs](self) for the dialect and
-/// the concurrency model, and the [crate docs](crate) for the protocol
-/// and crash-consistency contract it shares with [`crate::DurableSet`].
+/// mutations are appended — values included — to a write-ahead log,
+/// checkpointed by snapshots, and recovered by [`DurableMap::open`].  See
+/// the [module docs](self) for the concurrency model, and the [crate
+/// docs](crate) for the on-disk format, the protocol and the
+/// crash-consistency contract it shares with [`crate::DurableSet`].
 pub struct DurableMap<K, V, M>
 where
     K: Ord + Clone + KeyCodec,
     V: Clone + KeyCodec,
     M: BatchedMap<K, V>,
 {
-    inner: Mutex<MapInner<M>>,
-    dir: PathBuf,
-    group_commit: u64,
-    snapshot_every: u64,
-    registry: Registry,
-    metrics: Metrics,
-    _marker: std::marker::PhantomData<(K, V)>,
+    wal: Wal<K, V>,
+    /// The backend and the engine's log under one mutex: the shared
+    /// critical section is what makes append order equal commit order.
+    inner: Mutex<(M, Log)>,
 }
 
 impl<K, V, M> DurableMap<K, V, M>
@@ -86,19 +62,25 @@ where
     M: BatchedMap<K, V>,
 {
     /// Opens (creating if absent) the durable map rooted at `dir`,
-    /// recovering any existing history: load the manifest's key-value
-    /// snapshot, replay the version-2 log tail above it, truncate a torn
-    /// final record, and seed a fresh backend via `make_backend` (e.g.
+    /// recovering any existing history: load the manifest's snapshot,
+    /// replay the log tail above it, truncate a torn final record, and
+    /// seed a fresh backend via `make_backend` (e.g.
     /// `IstMap::from_kv_batch`).
     ///
     /// # Errors
     ///
     /// I/O failure, or `InvalidData` when a committed artefact (manifest
-    /// or snapshot) is damaged — including a *set*-dialect snapshot,
-    /// which a map must refuse rather than invent values for.  A torn log
-    /// tail is an expected crash signature and recovered from silently;
-    /// so is a whole set-dialect (version-1) segment, which tears at
-    /// offset zero.
+    /// or snapshot) is damaged.  A directory written for another value
+    /// width — a [`crate::DurableSet`]'s, whose values are `()` — or in a
+    /// retired on-disk dialect is refused with `InvalidData` and left
+    /// untouched: a map never invents values for a set's keys.  A torn
+    /// log tail is an expected crash signature and recovered from
+    /// silently.
+    ///
+    /// # Panics
+    ///
+    /// When `V::WIDTH` exceeds 255 bytes, which the on-disk header cannot
+    /// record.
     pub fn open<P, F>(
         dir: P,
         options: DurableOptions,
@@ -108,115 +90,12 @@ where
         P: AsRef<Path>,
         F: FnOnce(KvBatch<K, V>) -> M,
     {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        let registry = Registry::new();
-        let metrics = Metrics::new(&registry);
-
-        // 1. The snapshot, if one was ever committed.
-        let mut contents: BTreeMap<K, V> = BTreeMap::new();
-        let mut snap_seq = 0u64;
-        if let Some((seq, path)) = read_manifest(&dir)? {
-            let (file_seq, keys, vals) = load_kv_snapshot::<K, V>(&path)?;
-            if file_seq != seq {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "manifest says seq {seq} but snapshot {} says {file_seq}",
-                        path.display()
-                    ),
-                ));
-            }
-            snap_seq = seq;
-            contents.extend(keys.into_iter().zip(vals));
-        }
-        metrics.snapshot_seq.set(snap_seq);
-
-        // 2. Replay the log tail in segment-name (= append) order; a
-        //    non-increasing record seq is damage, like the set tier.
-        let segments = list_segments(&dir)?;
-        let mut max_seq = snap_seq;
-        let mut last_record_seq = 0u64;
-        let mut replayed = 0u64;
-        let mut tear: Option<(usize, u64)> = None;
-        for (i, (_, path)) in segments.iter().enumerate() {
-            let end = replay_map_segment::<K, V, _>(path, |record| {
-                if record.seq <= last_record_seq {
-                    return false;
-                }
-                last_record_seq = record.seq;
-                if record.seq > snap_seq {
-                    for op in record.ops {
-                        match op {
-                            WalMapOp::InsertKv(key, val) => {
-                                contents.insert(key, val);
-                            }
-                            WalMapOp::Remove(key) => {
-                                contents.remove(&key);
-                            }
-                        }
-                    }
-                    max_seq = record.seq;
-                    replayed += 1;
-                }
-                true
-            })?;
-            if let SegmentEnd::Torn(offset) = end {
-                tear = Some((i, offset));
-                break;
-            }
-        }
-
-        // 3. Heal a tear exactly as the set tier does.
-        if let Some((i, offset)) = tear {
-            metrics.torn_tails.inc();
-            if offset == 0 {
-                std::fs::remove_file(&segments[i].1)?;
-                metrics.segments_deleted.inc();
-            } else {
-                truncate_segment(&segments[i].1, offset)?;
-            }
-            for (_, path) in &segments[i + 1..] {
-                std::fs::remove_file(path)?;
-                metrics.segments_deleted.inc();
-            }
-            log::sync_dir(&dir)?;
-        }
-        metrics.recovery_replayed.record(replayed);
-
-        // 4. A fresh active version-2 segment, named past every survivor.
-        let highest_name = segments.iter().map(|&(seq, _)| seq).max().unwrap_or(0);
-        let name = (max_seq + 1).max(highest_name + 1);
-        let wal_log =
-            SegmentLog::create(&dir, name, options.segment_bytes.max(1), SEGMENT_MAGIC_V2)?;
-        metrics.segments_created.inc();
-
-        // 5. The backend, from the recovered entries.
+        let (wal, log, contents) = Wal::open(dir.as_ref(), &options)?;
         let pairs: Vec<(K, V)> = contents.into_iter().collect();
         let batch = KvBatch::from_sorted(pairs).expect("BTreeMap iterates strictly ascending");
-        let map = make_backend(batch);
-
-        metrics.appended_seq.set(max_seq);
-        metrics.durable_seq.set(max_seq);
         Ok(DurableMap {
-            inner: Mutex::new(MapInner {
-                map,
-                wal: Wal {
-                    log: wal_log,
-                    appended_seq: max_seq,
-                    last_name: name,
-                    pending: 0,
-                    since_snapshot: 0,
-                    buf: Vec::new(),
-                    wedged: false,
-                },
-            }),
-            dir,
-            group_commit: options.group_commit.max(1),
-            snapshot_every: options.snapshot_every,
-            registry,
-            metrics,
-            _marker: std::marker::PhantomData,
+            wal,
+            inner: Mutex::new((make_backend(batch), log)),
         })
     }
 
@@ -239,17 +118,17 @@ where
     /// The value stored under `key`, if any.  Reads touch only the
     /// in-memory backend — no WAL work, no `io::Result`.
     pub fn get(&self, key: &K) -> Option<V> {
-        self.inner.lock().unwrap().map.get(key)
+        self.locked().0.get(key)
     }
 
     /// Whether `key` is present.
     pub fn contains_key(&self, key: &K) -> bool {
-        self.inner.lock().unwrap().map.contains_key(key)
+        self.locked().0.contains_key(key)
     }
 
     /// One lookup per batch key; `result[i]` answers `batch[i]`.
     pub fn batch_get(&self, batch: &Batch<K>) -> Vec<Option<V>> {
-        self.inner.lock().unwrap().map.batch_get(batch)
+        self.locked().0.batch_get(batch)
     }
 
     /// Upserts every batch entry (last-wins dedup already applied by
@@ -257,14 +136,9 @@ where
     /// value)` payload.  `result[i]` is `true` iff `batch.keys()[i]` was
     /// newly inserted.
     pub fn batch_insert_kv(&self, batch: &KvBatch<K, V>) -> io::Result<Vec<bool>> {
-        self.with_wal(|this, inner| {
-            let flags = inner.map.batch_insert_kv(batch);
-            this.metrics.rounds_drained.inc();
-            let ops: Vec<WalMapOpRef<'_, K, V>> = batch
-                .iter()
-                .map(|(k, v)| WalMapOpRef::InsertKv(k, v))
-                .collect();
-            this.append_and_commit(inner, &ops)?;
+        self.with_log(|map, log| {
+            let flags = map.batch_insert_kv(batch);
+            self.log_round(map, log, batch.iter().map(|(k, v)| (k, Some(v))))?;
             Ok(flags)
         })
     }
@@ -272,23 +146,17 @@ where
     /// Removes every batch key; `result[i]` is `true` iff
     /// `batch[i]` was present.  Only effective removals are logged.
     pub fn batch_remove(&self, batch: &Batch<K>) -> io::Result<Vec<bool>> {
-        self.with_wal(|this, inner| {
-            let flags = inner.map.batch_remove(batch);
-            this.metrics.rounds_drained.inc();
-            let ops: Vec<WalMapOpRef<'_, K, V>> = batch
-                .iter()
-                .zip(&flags)
-                .filter(|&(_, &hit)| hit)
-                .map(|(k, _)| WalMapOpRef::Remove(k))
-                .collect();
-            this.append_and_commit(inner, &ops)?;
+        self.with_log(|map, log| {
+            let flags = map.batch_remove(batch);
+            let removed = batch.iter().zip(&flags).filter(|&(_, &hit)| hit);
+            self.log_round(map, log, removed.map(|(k, _)| (k, None)))?;
             Ok(flags)
         })
     }
 
     /// Number of entries (in memory; does not publish).
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().map.len()
+        self.locked().0.len()
     }
 
     /// Whether the map is empty.
@@ -299,173 +167,95 @@ where
     /// Every `(key, value)` entry in ascending key order — the full
     /// contents at one linearisation point.
     pub fn collect_entries(&self) -> Vec<(K, V)> {
-        self.inner.lock().unwrap().map.collect_entries()
+        self.locked().0.collect_entries()
     }
 
     /// Forces everything committed so far onto disk and returns the new
     /// durable high-water sequence number.
     pub fn sync(&self) -> io::Result<u64> {
-        self.with_wal(|this, inner| {
-            this.fsync_wal(&mut inner.wal)?;
-            Ok(this.metrics.durable_seq.get())
+        self.with_log(|_, log| {
+            self.wal.fsync(log)?;
+            Ok(self.wal.durable_seq())
         })
     }
 
-    /// Takes a key-value snapshot now and truncates the log; returns the
-    /// snapshot's sequence number.  Everything at or below it is durable
-    /// when this returns.
+    /// Takes a snapshot now and truncates the log; returns the snapshot's
+    /// sequence number.  Everything at or below it is durable when this
+    /// returns.
     pub fn snapshot(&self) -> io::Result<u64> {
-        self.with_wal(|this, inner| this.snapshot_inner(inner))
+        self.with_log(|map, log| self.snapshot_into(map, log))
     }
 
     /// The durable high-water mark: every round with seq at or below this
     /// has reached disk and survives any crash.
     pub fn durable_seq(&self) -> u64 {
-        self.metrics.durable_seq.get()
+        self.wal.durable_seq()
     }
 
     /// Snapshot of the `durable.*` metrics (same registry names as the
     /// set tier).
     pub fn metrics(&self) -> obs::Snapshot {
-        self.registry.snapshot()
+        self.wal.metrics()
     }
 
-    /// Drains and fsyncs, then closes; the error-reporting variant of
-    /// [`Drop`].
+    /// Fsyncs, then closes; the error-reporting variant of [`Drop`].
     pub fn close(self) -> io::Result<()> {
         self.sync().map(|_| ())
     }
 
-    /// The shared durability tail of every mutation: append one record
-    /// carrying `ops` (skipped entirely when there are none — no-op
-    /// rounds leave no trace, like the set tier's stripped rounds), then
-    /// run group commit and the snapshot policy.  Caller holds the lock
-    /// and has already applied the mutation to the backend.
-    fn append_and_commit(
+    /// The backend and the log, under the one mutex.
+    fn locked(&self) -> MutexGuard<'_, (M, Log)> {
+        self.inner
+            .lock()
+            .expect("durable map poisoned: a thread panicked holding its lock")
+    }
+
+    /// Runs `f` on the backend and the log under the one mutex and the
+    /// engine's wedge rule.
+    fn with_log<T>(&self, f: impl FnOnce(&mut M, &mut Log) -> io::Result<T>) -> io::Result<T> {
+        let mut inner = self.locked();
+        let (map, log) = &mut *inner;
+        log.guard(|log| f(map, log))
+    }
+
+    /// Logs one applied round as the next record (none when `ops` is
+    /// empty), then runs group commit and the snapshot cadence.  Caller
+    /// holds the mutex and has applied the round to `map`.
+    fn log_round<'a>(
         &self,
-        inner: &mut MapInner<M>,
-        ops: &[WalMapOpRef<'_, K, V>],
-    ) -> io::Result<()> {
-        if !ops.is_empty() {
-            let wal = &mut inner.wal;
-            if wal.log.wants_rotation() {
-                self.fsync_wal(wal)?;
-                let name = wal.next_name();
-                wal.log.rotate(name)?;
-                wal.last_name = name;
-                self.metrics.segments_created.inc();
-            }
-            let seq = wal.appended_seq + 1;
-            let mut buf = std::mem::take(&mut wal.buf);
-            buf.clear();
-            encode_map_record(seq, ops, &mut buf);
-            let appended = wal.log.append(&buf);
-            self.metrics.bytes_written.add(buf.len() as u64);
-            wal.buf = buf;
-            appended?;
-            self.metrics.records_appended.inc();
-            wal.appended_seq = seq;
-            wal.pending += 1;
-            wal.since_snapshot += 1;
-            self.metrics.appended_seq.set(seq);
-        }
-        if inner.wal.pending >= self.group_commit {
-            self.fsync_wal(&mut inner.wal)?;
-        }
-        if self.snapshot_every > 0 && inner.wal.since_snapshot >= self.snapshot_every {
-            self.snapshot_inner(inner)?;
-        }
-        Ok(())
+        map: &M,
+        log: &mut Log,
+        ops: impl Iterator<Item = (&'a K, Option<&'a V>)>,
+    ) -> io::Result<()>
+    where
+        K: 'a,
+        V: 'a,
+    {
+        self.wal.count_rounds(1);
+        let seq = log.appended_seq() + 1;
+        self.wal.append(log, seq, ops)?;
+        self.wal.commit(log, |log| self.snapshot_into(map, log))
     }
 
-    /// Runs `f` under the lock with wedge bookkeeping, mirroring the set
-    /// tier: refuse if a previous call failed, wedge if this one does.
-    fn with_wal<T>(
-        &self,
-        f: impl FnOnce(&Self, &mut MapInner<M>) -> io::Result<T>,
-    ) -> io::Result<T> {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.wal.wedged {
-            return Err(io::Error::other(
-                "durable map wedged by an earlier I/O error; reopen the directory to recover",
-            ));
-        }
-        let result = f(self, &mut inner);
-        if result.is_err() {
-            inner.wal.wedged = true;
-        }
-        result
-    }
-
-    /// Fsyncs the active segment, advancing the durable mark over every
-    /// pending record.  Caller holds the lock.
-    fn fsync_wal(&self, wal: &mut Wal) -> io::Result<()> {
-        if wal.pending == 0 {
-            return Ok(());
-        }
-        wal.log.sync()?;
-        self.metrics.fsyncs.inc();
-        self.metrics.group_size.record(wal.pending);
-        wal.pending = 0;
-        self.metrics.durable_seq.set_max(wal.appended_seq);
-        Ok(())
-    }
-
-    /// Takes and commits a key-value snapshot, then truncates the log.
-    /// Caller holds the lock, so the backend's contents *are* the state
-    /// at `appended_seq` — no combiner race to reason about.
-    fn snapshot_inner(&self, inner: &mut MapInner<M>) -> io::Result<u64> {
-        self.fsync_wal(&mut inner.wal)?;
-        let entries = inner.map.collect_entries();
-        let (keys, vals): (Vec<K>, Vec<V>) = entries.into_iter().unzip();
-        let snap_seq = inner.wal.appended_seq;
-        let name = write_kv_snapshot(&self.dir, snap_seq, &keys, &vals)?;
-        commit_manifest(&self.dir, snap_seq, &name)?;
-        self.metrics.snapshots.inc();
-        self.metrics.snapshot_seq.set(snap_seq);
-        self.metrics.durable_seq.set_max(snap_seq);
-
-        let survivors = list_segments(&self.dir)?;
-        let wal = &mut inner.wal;
-        let next = wal.next_name().max(snap_seq + 1);
-        wal.log.rotate(next)?;
-        wal.last_name = next;
-        self.metrics.segments_created.inc();
-        let active = log::segment_path(&self.dir, next);
-        for (_, path) in survivors {
-            if path != active {
-                std::fs::remove_file(&path)?;
-                self.metrics.segments_deleted.inc();
-            }
-        }
-        remove_stale_snapshots(&self.dir, &snapshot_path(&self.dir, snap_seq))?;
-        log::sync_dir(&self.dir)?;
-        wal.since_snapshot = 0;
-        Ok(snap_seq)
-    }
-}
-
-impl<K, V, M> Drop for DurableMap<K, V, M>
-where
-    K: Ord + Clone + KeyCodec,
-    V: Clone + KeyCodec,
-    M: BatchedMap<K, V>,
-{
-    fn drop(&mut self) {
-        let Ok(mut inner) = self.inner.lock() else {
-            return;
-        };
-        if inner.wal.wedged {
-            return;
-        }
-        let _ = self.fsync_wal(&mut inner.wal);
+    /// Snapshots the map and truncates the log.  Caller holds the mutex,
+    /// so the backend's contents *are* the state at `appended_seq` — no
+    /// combiner race to reason about.
+    fn snapshot_into(&self, map: &M, log: &mut Log) -> io::Result<u64> {
+        let entries = map.collect_entries();
+        let seq = log.appended_seq();
+        self.wal
+            .snapshot(log, seq, entries.iter().map(|(k, v)| (k, v)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pbist::IstMap;
+    use crate::log::{list_segments, segment_path, SegmentLog};
+    use crate::DurableSet;
+    use forkjoin::Pool;
+    use pbist::{IstMap, IstSet};
+    use std::collections::BTreeMap;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -598,6 +388,16 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Every file in `dir` with its bytes: what a refused open must leave
+    /// exactly as it found it.
+    fn dir_bytes(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .map(|p| (p.clone(), std::fs::read(&p).unwrap()))
+            .collect()
+    }
+
     #[test]
     fn set_dialect_segments_are_rejected_not_replayed() {
         let dir = scratch_dir("dialect");
@@ -610,26 +410,109 @@ mod tests {
         );
         map.insert(1, 100).unwrap();
         drop(map);
-        // Plant a *set*-dialect segment after the map's segments: its
-        // version-1 magic must tear at offset zero (and be deleted), not
-        // replay keys with invented values.
-        let planted = log::segment_path(&dir, 1_000);
+        // Plant a *set*'s segment (value width 0) after the map's
+        // segments: its well-formed header must refuse the open, keep
+        // the file, and never replay key 7 with an invented value.
+        let planted = segment_path(&dir, 1_000);
+        let mut set_log = SegmentLog::create(&dir, 1_000, u64::MAX, 0).unwrap();
         let mut buf = Vec::new();
-        buf.extend_from_slice(crate::log::SEGMENT_MAGIC);
-        crate::record::encode_record(1_000, &[(crate::record::WalOp::Insert, &7u64)], &mut buf);
-        std::fs::write(&planted, &buf).unwrap();
+        crate::record::encode(1_000, [(&7u64, Some(&()))], &mut buf);
+        set_log.append(&buf).unwrap();
+        set_log.sync().unwrap();
+        drop(set_log);
+        let before = dir_bytes(&dir);
 
+        let refused = DurableMap::open(&dir, DurableOptions::default(), |batch| {
+            IstMap::<u64, u64>::from_kv_batch(&batch)
+        })
+        .err()
+        .expect("a set's segment must refuse the map open");
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidData);
+        assert!(planted.exists(), "refusal keeps the foreign segment");
+        assert_eq!(dir_bytes(&dir), before, "refusal touches nothing");
+
+        // Without the planted segment, the map's own history is intact.
+        std::fs::remove_file(&planted).unwrap();
         let map = open(&dir, DurableOptions::default());
-        assert_eq!(
-            map.metrics().counter("durable.torn_tails"),
-            Some(1),
-            "the set-dialect segment must read as damage"
-        );
-        assert_eq!(map.len(), 1);
-        assert_eq!(map.get(&1), Some(100));
-        assert_eq!(map.get(&7), None, "no value was invented for key 7");
-        assert!(!planted.exists(), "recovery deletes the foreign segment");
+        assert_eq!(map.metrics().counter("durable.torn_tails"), Some(0));
+        assert_eq!(map.collect_entries(), vec![(1, 100)]);
         drop(map);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn opening_a_directory_as_the_wrong_tier_is_refused_and_touches_nothing() {
+        let open_set = |dir: &Path| {
+            DurableSet::open(dir, Pool::new(1).unwrap(), DurableOptions::default(), |b| {
+                IstSet::from_batch(&b)
+            })
+        };
+
+        // A set directory with no snapshot, opened as a map.
+        let dir = scratch_dir("set-as-map");
+        let set = open_set(&dir).unwrap();
+        for k in 0..20u64 {
+            set.insert(k).unwrap();
+        }
+        set.close().unwrap();
+        let before = dir_bytes(&dir);
+        let refused = DurableMap::open(&dir, DurableOptions::default(), |batch| {
+            IstMap::<u64, u64>::from_kv_batch(&batch)
+        })
+        .err()
+        .expect("a set directory must not open as a map");
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(dir_bytes(&dir), before, "the set's segments are untouched");
+        let set = open_set(&dir).unwrap();
+        assert_eq!(set.metrics().counter("durable.torn_tails"), Some(0));
+        assert_eq!(
+            set.inner().snapshot_keys().0,
+            (0..20u64).collect::<Vec<_>>()
+        );
+        drop(set);
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        // And a map directory (log and snapshot), opened as a set.
+        let dir = scratch_dir("map-as-set");
+        let map = open(&dir, DurableOptions::default());
+        map.insert(1, 10).unwrap();
+        map.snapshot().unwrap();
+        map.insert(2, 20).unwrap();
+        map.close().unwrap();
+        let before = dir_bytes(&dir);
+        let refused = open_set(&dir)
+            .err()
+            .expect("a map directory must not open as a set");
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(dir_bytes(&dir), before, "the map's files are untouched");
+        let map = open(&dir, DurableOptions::default());
+        assert_eq!(map.collect_entries(), vec![(1, 10), (2, 20)]);
+        drop(map);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn retired_dialect_segments_are_refused_and_kept() {
+        // A segment from before the value width reached the header: the
+        // keys-only dialect's magic, then a record whose bytes happen to
+        // match today's `V = ()` layout.  It is refused, not read and
+        // not healed away.
+        let dir = scratch_dir("retired");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut bytes = b"PBWAL\x00\x00\x01".to_vec();
+        crate::record::encode(1, [(&7u64, Some(&()))], &mut bytes);
+        std::fs::write(segment_path(&dir, 1), &bytes).unwrap();
+        let before = dir_bytes(&dir);
+        let refused = DurableSet::open(
+            &dir,
+            Pool::new(1).unwrap(),
+            DurableOptions::default(),
+            |b| IstSet::<u64>::from_batch(&b),
+        )
+        .err()
+        .expect("a retired-dialect segment must refuse the open");
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(dir_bytes(&dir), before);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,17 +1,27 @@
-//! The write-ahead log's record codec.
+//! The on-disk codec: the artefact header and the write-ahead log record.
 //!
-//! One record per *mutation* round (pure-`Contains` rounds never reach the
-//! log — a membership test changes nothing, so replaying it would be
-//! wasted work and the WAL's sequence numbers are allowed to have gaps
-//! where read-only rounds committed).  The wire layout is
+//! **Header.**  Every segment and snapshot opens with 8 bytes: a 5-byte tag
+//! naming the artefact, the format version, the value width
+//! (`V::WIDTH`), and that width's bitwise complement.  The complement
+//! makes the width self-checking: no single flipped byte turns one
+//! width's header into another's, so a damaged header still reads as
+//! damage while a well-formed header for *another* width — a set's log
+//! opened as a map, say — is refused outright.
+//!
+//! **Record.**  One record per *mutation* round (pure-`Contains` rounds
+//! never reach the log — a membership test changes nothing, so the WAL's
+//! sequence numbers are allowed to have gaps where read-only rounds
+//! committed).  The wire layout is
 //!
 //! ```text
 //! [payload_len: u32 LE][checksum: u64 LE]    <- header, 12 bytes
 //! [seq: u64 LE][n_ops: u32 LE]               <- payload ...
-//! n_ops x ([kind: u8][key: K::WIDTH bytes])
+//! n_ops x ([kind: u8][key: K::WIDTH bytes][value: V::WIDTH bytes])
 //! ```
 //!
-//! The checksum is FNV-1a 64 over the payload bytes.  Decoding is strictly
+//! Kind is put or remove; a remove's value bytes are zero.  A set logs
+//! with `V = ()`, so its ops carry no value bytes at all.  The checksum
+//! is FNV-1a 64 over the payload bytes.  Decoding is strictly
 //! *prefix-tolerant*: any defect — a partial header, a partial payload, an
 //! implausible length, a checksum mismatch, an unknown kind byte — is
 //! reported as [`DecodeOutcome::Torn`] at the offending offset rather than
@@ -19,7 +29,28 @@
 //! event: the valid log ends here.  Recovery truncates at that point and
 //! the history before it stands.
 
+use std::io;
+use std::marker::PhantomData;
+use std::path::Path;
+
 use batchapi::KeyCodec;
+
+/// Bytes in an artefact header (see the module docs).
+pub(crate) const HEADER: usize = 8;
+
+/// The format version every header carries.
+const VERSION: u8 = 3;
+
+/// Headers of the retired keys-only and key-value dialects (segments,
+/// then snapshots), which carried no value width.  They are recognised
+/// only to be refused: reading them as damage would let recovery delete
+/// another dialect's history.
+const RETIRED: [&[u8; HEADER]; 4] = [
+    b"PBWAL\x00\x00\x01",
+    b"PBWAL\x00\x00\x02",
+    b"PBSNAP\x00\x01",
+    b"PBSNAP\x00\x02",
+];
 
 /// Bytes in a record header: `payload_len: u32` + `checksum: u64`.
 pub(crate) const RECORD_HEADER: usize = 4 + 8;
@@ -31,13 +62,9 @@ pub(crate) const RECORD_HEADER: usize = 4 + 8;
 pub(crate) const MAX_PAYLOAD: usize = 256 << 20;
 
 /// Op kind tags on the wire.  `Contains` has no tag: read-only ops are
-/// stripped before encoding.  `KIND_INSERT_KV` (a key *and* a value)
-/// appears only in version-2 (map) segments; each codec rejects the other
-/// family's kinds as [`DecodeOutcome::Torn`], so a set log replayed as a
-/// map (or vice versa) tears instead of mis-decoding.
-const KIND_INSERT: u8 = 0;
+/// stripped before encoding.
+const KIND_PUT: u8 = 0;
 const KIND_REMOVE: u8 = 1;
-const KIND_INSERT_KV: u8 = 2;
 
 /// FNV-1a 64-bit over `bytes` — tiny, allocation-free, std-only, and
 /// plenty to catch torn writes and bit rot (this guards against crashes,
@@ -51,130 +78,131 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// One decoded mutation, replayed against a `BTreeSet` during recovery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WalOp {
-    /// The round inserted this key.
-    Insert,
-    /// The round removed this key.
-    Remove,
-}
-
-/// One decoded WAL record: a mutation round's sequence number and its
-/// surviving (non-`Contains`) operations in linearisation order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct WalRecord<K> {
-    pub(crate) seq: u64,
-    pub(crate) ops: Vec<(WalOp, K)>,
-}
-
-/// Appends one encoded record for `(seq, ops)` to `buf`.
+/// The header for an artefact tagged `tag` holding `width`-byte values.
 ///
-/// `ops` must already be filtered down to mutations; the caller skips
-/// rounds whose mutation list is empty rather than writing empty records.
-pub(crate) fn encode_record<K: KeyCodec>(seq: u64, ops: &[(WalOp, &K)], buf: &mut Vec<u8>) {
-    let payload_len = 8 + 4 + ops.len() * (1 + K::WIDTH);
-    buf.reserve(RECORD_HEADER + payload_len);
-    let header_at = buf.len();
-    buf.extend_from_slice(&[0u8; RECORD_HEADER]);
-    let payload_at = buf.len();
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-    for (op, key) in ops {
-        buf.push(match op {
-            WalOp::Insert => KIND_INSERT,
-            WalOp::Remove => KIND_REMOVE,
-        });
-        let at = buf.len();
-        buf.resize(at + K::WIDTH, 0);
-        key.encode(&mut buf[at..at + K::WIDTH]);
+/// # Panics
+///
+/// When `width` exceeds 255 bytes: the header stores it in one byte.
+pub(crate) fn header(tag: &[u8; 5], width: usize) -> [u8; HEADER] {
+    let width = u8::try_from(width).expect("value codecs are at most 255 bytes wide");
+    let mut head = [0; HEADER];
+    head[..5].copy_from_slice(tag);
+    head[5..].copy_from_slice(&[VERSION, width, !width]);
+    head
+}
+
+/// Checks the header at the start of `bytes` (read from `path`) against
+/// `tag` and the expected value `width`: `Ok(true)` when it matches,
+/// `Ok(false)` when it is damaged or missing, and `InvalidData` when it
+/// is well-formed but foreign — another value width, or a retired
+/// dialect.  Foreign artefacts are refused, never healed away.
+pub(crate) fn check_header(
+    bytes: &[u8],
+    tag: &[u8; 5],
+    width: usize,
+    path: &Path,
+) -> io::Result<bool> {
+    let Some(head) = bytes.first_chunk::<HEADER>() else {
+        return Ok(false);
+    };
+    let refuse = |why: String| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{} {why}; refusing to open it", path.display()),
+        )
+    };
+    if RETIRED.contains(&head) {
+        return Err(refuse(
+            "was written in a retired on-disk dialect".to_string(),
+        ));
     }
-    debug_assert_eq!(buf.len() - payload_at, payload_len);
-    let checksum = fnv1a(&buf[payload_at..]);
-    buf[header_at..header_at + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
-    buf[header_at + 4..header_at + 12].copy_from_slice(&checksum.to_le_bytes());
+    if &head[..5] != tag || head[5] != VERSION || head[6] != !head[7] {
+        return Ok(false);
+    }
+    if usize::from(head[6]) != width {
+        return Err(refuse(format!(
+            "holds {}-byte values where {width}-byte values were expected",
+            head[6]
+        )));
+    }
+    Ok(true)
 }
 
-/// One decoded *map* mutation: upserts carry their value payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum WalMapOp<K, V> {
-    /// The round upserted this key to this value (logged even when the key
-    /// was already present — the value may have changed, and replaying an
-    /// unchanged upsert is idempotent).
-    InsertKv(K, V),
-    /// The round removed this key.
-    Remove(K),
+/// Bytes per op: kind, key, value.
+const fn op_width<K: KeyCodec, V: KeyCodec>() -> usize {
+    1 + K::WIDTH + V::WIDTH
 }
 
-/// Borrowed form of [`WalMapOp`] for encoding without cloning payloads.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum WalMapOpRef<'a, K, V> {
-    /// Upsert `key -> value`.
-    InsertKv(&'a K, &'a V),
-    /// Remove `key`.
-    Remove(&'a K),
-}
-
-/// One decoded map-WAL record (version-2 segments).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct WalMapRecord<K, V> {
-    pub(crate) seq: u64,
-    pub(crate) ops: Vec<WalMapOp<K, V>>,
-}
-
-/// Appends one encoded map record for `(seq, ops)` to `buf`.  Same frame
-/// as [`encode_record`]; the body interleaves fixed-width ops of two
-/// kinds, so op width is keyed off the kind byte at decode.
-pub(crate) fn encode_map_record<K: KeyCodec, V: KeyCodec>(
+/// Appends one encoded record for `(seq, ops)` to `buf` and returns how
+/// many ops it holds.  Each op is `(key, Some(value))` for a put or
+/// `(key, None)` for a remove.  With no ops nothing is appended: a round
+/// that changed nothing leaves no record.
+pub(crate) fn encode<'a, K, V>(
     seq: u64,
-    ops: &[WalMapOpRef<'_, K, V>],
+    ops: impl IntoIterator<Item = (&'a K, Option<&'a V>)>,
     buf: &mut Vec<u8>,
-) {
-    let payload_len = 8
-        + 4
-        + ops
-            .iter()
-            .map(|op| match op {
-                WalMapOpRef::InsertKv(..) => 1 + K::WIDTH + V::WIDTH,
-                WalMapOpRef::Remove(..) => 1 + K::WIDTH,
-            })
-            .sum::<usize>();
-    buf.reserve(RECORD_HEADER + payload_len);
-    let header_at = buf.len();
+) -> usize
+where
+    K: KeyCodec + 'a,
+    V: KeyCodec + 'a,
+{
+    let start = buf.len();
     buf.extend_from_slice(&[0u8; RECORD_HEADER]);
     let payload_at = buf.len();
     buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-    for op in ops {
-        match op {
-            WalMapOpRef::InsertKv(key, val) => {
-                buf.push(KIND_INSERT_KV);
-                let at = buf.len();
-                buf.resize(at + K::WIDTH + V::WIDTH, 0);
-                key.encode(&mut buf[at..at + K::WIDTH]);
-                val.encode(&mut buf[at + K::WIDTH..at + K::WIDTH + V::WIDTH]);
-            }
-            WalMapOpRef::Remove(key) => {
-                buf.push(KIND_REMOVE);
-                let at = buf.len();
-                buf.resize(at + K::WIDTH, 0);
-                key.encode(&mut buf[at..at + K::WIDTH]);
-            }
+    buf.extend_from_slice(&[0u8; 4]); // n_ops, patched below
+    let mut n_ops = 0usize;
+    for (key, val) in ops {
+        let at = buf.len();
+        buf.resize(at + op_width::<K, V>(), 0);
+        buf[at] = if val.is_some() { KIND_PUT } else { KIND_REMOVE };
+        let (key_bytes, val_bytes) = buf[at + 1..].split_at_mut(K::WIDTH);
+        key.encode(key_bytes);
+        if let Some(val) = val {
+            val.encode(val_bytes);
         }
+        n_ops += 1;
     }
-    debug_assert_eq!(buf.len() - payload_at, payload_len);
+    if n_ops == 0 {
+        buf.truncate(start);
+        return 0;
+    }
+    let payload_len = buf.len() - payload_at;
+    buf[payload_at + 8..payload_at + 12].copy_from_slice(&(n_ops as u32).to_le_bytes());
     let checksum = fnv1a(&buf[payload_at..]);
-    buf[header_at..header_at + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
-    buf[header_at + 4..header_at + 12].copy_from_slice(&checksum.to_le_bytes());
+    buf[start..start + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    buf[start + 4..payload_at].copy_from_slice(&checksum.to_le_bytes());
+    n_ops
 }
 
-/// What decoding found at one offset.  `R` is the decoded record type —
-/// [`WalRecord`] for set (version-1) segments, [`WalMapRecord`] for map
-/// (version-2) segments.
+/// One decoded record: a mutation round's sequence number and a view of
+/// its ops, borrowed from the segment bytes (no copy until replay asks).
 #[derive(Debug, PartialEq, Eq)]
-pub(crate) enum DecodeOutcome<R> {
+pub(crate) struct Record<'a, K, V> {
+    pub(crate) seq: u64,
+    body: &'a [u8],
+    _codec: PhantomData<fn() -> (K, V)>,
+}
+
+impl<K: KeyCodec, V: KeyCodec> Record<'_, K, V> {
+    /// The round's ops in linearisation order: `(key, Some(value))` for a
+    /// put, `(key, None)` for a remove.
+    pub(crate) fn ops(&self) -> impl Iterator<Item = (K, Option<V>)> + '_ {
+        self.body.chunks_exact(op_width::<K, V>()).map(|op| {
+            let (key, val) = op[1..].split_at(K::WIDTH);
+            (K::decode(key), (op[0] == KIND_PUT).then(|| V::decode(val)))
+        })
+    }
+}
+
+/// What decoding found at one offset.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum DecodeOutcome<'a, K, V> {
     /// A valid record; `consumed` bytes advance the cursor past it.
-    Record { record: R, consumed: usize },
+    Record {
+        record: Record<'a, K, V>,
+        consumed: usize,
+    },
     /// The buffer ends exactly here — a cleanly-terminated log.
     Clean,
     /// The bytes from this offset on are not a valid record (torn final
@@ -182,120 +210,46 @@ pub(crate) enum DecodeOutcome<R> {
     Torn,
 }
 
-/// Validates the common frame (header, plausible length, checksum) and
-/// returns the payload slice, or the non-record outcome.
-fn frame(buf: &[u8], at: usize) -> Result<&[u8], DecodeOutcome<std::convert::Infallible>> {
+/// Decodes the record starting at `buf[at..]`.
+pub(crate) fn decode<K: KeyCodec, V: KeyCodec>(buf: &[u8], at: usize) -> DecodeOutcome<'_, K, V> {
     let rest = &buf[at..];
     if rest.is_empty() {
-        return Err(DecodeOutcome::Clean);
+        return DecodeOutcome::Clean;
     }
     if rest.len() < RECORD_HEADER {
-        return Err(DecodeOutcome::Torn);
+        return DecodeOutcome::Torn;
     }
     let payload_len = u32::from_le_bytes(rest[0..4].try_into().unwrap()) as usize;
     let checksum = u64::from_le_bytes(rest[4..12].try_into().unwrap());
     if !(8 + 4..=MAX_PAYLOAD).contains(&payload_len) {
-        return Err(DecodeOutcome::Torn);
+        return DecodeOutcome::Torn;
     }
     let Some(payload) = rest.get(RECORD_HEADER..RECORD_HEADER + payload_len) else {
-        return Err(DecodeOutcome::Torn);
+        return DecodeOutcome::Torn;
     };
     if fnv1a(payload) != checksum {
-        return Err(DecodeOutcome::Torn);
+        return DecodeOutcome::Torn;
     }
-    Ok(payload)
-}
-
-/// Maps the non-record outcome of [`frame`] into any record type.
-fn other<R>(outcome: DecodeOutcome<std::convert::Infallible>) -> DecodeOutcome<R> {
-    match outcome {
-        DecodeOutcome::Clean => DecodeOutcome::Clean,
-        DecodeOutcome::Torn => DecodeOutcome::Torn,
-        DecodeOutcome::Record { .. } => unreachable!("frame never yields a record"),
-    }
-}
-
-/// Decodes the set record starting at `buf[at..]`.
-pub(crate) fn decode_record<K: KeyCodec>(buf: &[u8], at: usize) -> DecodeOutcome<WalRecord<K>> {
-    let payload = match frame(buf, at) {
-        Ok(payload) => payload,
-        Err(outcome) => return other(outcome),
-    };
     let seq = u64::from_le_bytes(payload[0..8].try_into().unwrap());
     let n_ops = u32::from_le_bytes(payload[8..12].try_into().unwrap()) as usize;
     let body = &payload[12..];
-    if body.len() != n_ops * (1 + K::WIDTH) {
-        return DecodeOutcome::Torn;
-    }
-    let mut ops = Vec::with_capacity(n_ops);
-    for chunk in body.chunks_exact(1 + K::WIDTH) {
-        let op = match chunk[0] {
-            KIND_INSERT => WalOp::Insert,
-            KIND_REMOVE => WalOp::Remove,
-            // KIND_INSERT_KV included: a value-bearing record in a set log
-            // is damage, not data.
-            _ => return DecodeOutcome::Torn,
-        };
-        ops.push((op, K::decode(&chunk[1..])));
-    }
-    DecodeOutcome::Record {
-        record: WalRecord { seq, ops },
-        consumed: RECORD_HEADER + payload.len(),
-    }
-}
-
-/// Decodes the map record starting at `buf[at..]`.  Ops are
-/// variable-width (the kind byte decides whether a value follows the
-/// key), so the body is walked with a cursor; any unknown kind — the
-/// set-only `KIND_INSERT` among them — or a body that does not end
-/// exactly at the declared op count reads as [`DecodeOutcome::Torn`].
-pub(crate) fn decode_map_record<K: KeyCodec, V: KeyCodec>(
-    buf: &[u8],
-    at: usize,
-) -> DecodeOutcome<WalMapRecord<K, V>> {
-    let payload = match frame(buf, at) {
-        Ok(payload) => payload,
-        Err(outcome) => return other(outcome),
-    };
-    let seq = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-    let n_ops = u32::from_le_bytes(payload[8..12].try_into().unwrap()) as usize;
-    let body = &payload[12..];
-    let mut ops = Vec::with_capacity(n_ops.min(body.len()));
-    let mut cursor = 0usize;
-    for _ in 0..n_ops {
-        let Some(&kind) = body.get(cursor) else {
-            return DecodeOutcome::Torn;
-        };
-        cursor += 1;
-        match kind {
-            KIND_INSERT_KV => {
-                let Some(bytes) = body.get(cursor..cursor + K::WIDTH + V::WIDTH) else {
-                    return DecodeOutcome::Torn;
-                };
-                ops.push(WalMapOp::InsertKv(
-                    K::decode(&bytes[..K::WIDTH]),
-                    V::decode(&bytes[K::WIDTH..]),
-                ));
-                cursor += K::WIDTH + V::WIDTH;
-            }
-            KIND_REMOVE => {
-                let Some(bytes) = body.get(cursor..cursor + K::WIDTH) else {
-                    return DecodeOutcome::Torn;
-                };
-                ops.push(WalMapOp::Remove(K::decode(bytes)));
-                cursor += K::WIDTH;
-            }
-            // Unknown kinds — the keys-only KIND_INSERT among them — are
-            // rejected: a map replay must never invent a value.
-            _ => return DecodeOutcome::Torn,
-        }
-    }
-    if cursor != body.len() {
+    let width = op_width::<K, V>();
+    // An op of another width (a record from another value width's log) or
+    // an unknown kind is damage, not data: replay never invents a value.
+    if body.len() != n_ops * width
+        || body
+            .chunks_exact(width)
+            .any(|op| op[0] != KIND_PUT && op[0] != KIND_REMOVE)
+    {
         return DecodeOutcome::Torn;
     }
     DecodeOutcome::Record {
-        record: WalMapRecord { seq, ops },
-        consumed: RECORD_HEADER + payload.len(),
+        record: Record {
+            seq,
+            body,
+            _codec: PhantomData,
+        },
+        consumed: RECORD_HEADER + payload_len,
     }
 }
 
@@ -303,38 +257,65 @@ pub(crate) fn decode_map_record<K: KeyCodec, V: KeyCodec>(
 mod tests {
     use super::*;
 
-    fn roundtrip(seq: u64, ops: &[(WalOp, u64)]) -> Vec<u8> {
+    fn encoded<V: KeyCodec>(seq: u64, ops: &[(u64, Option<V>)]) -> Vec<u8> {
         let mut buf = Vec::new();
-        let borrowed: Vec<(WalOp, &u64)> = ops.iter().map(|(op, k)| (*op, k)).collect();
-        encode_record(seq, &borrowed, &mut buf);
+        encode(seq, ops.iter().map(|(k, v)| (k, v.as_ref())), &mut buf);
         buf
+    }
+
+    /// A decoded record's seq and ops.
+    type Decoded<V> = (u64, Vec<(u64, Option<V>)>);
+
+    fn decoded<V: KeyCodec>(buf: &[u8]) -> Option<Decoded<V>> {
+        match decode::<u64, V>(buf, 0) {
+            DecodeOutcome::Record { record, consumed } => {
+                assert_eq!(consumed, buf.len());
+                Some((record.seq, record.ops().collect()))
+            }
+            _ => None,
+        }
     }
 
     #[test]
     fn encode_decode_round_trips() {
-        let ops = [
-            (WalOp::Insert, 7u64),
-            (WalOp::Remove, u64::MAX),
-            (WalOp::Insert, 0),
-        ];
-        let buf = roundtrip(42, &ops);
-        match decode_record::<u64>(&buf, 0) {
-            DecodeOutcome::Record { record, consumed } => {
-                assert_eq!(consumed, buf.len());
-                assert_eq!(record.seq, 42);
-                assert_eq!(record.ops, ops.map(|(op, k)| (op, k)));
-            }
-            other => panic!("expected a record, got {other:?}"),
-        }
-        assert_eq!(decode_record::<u64>(&buf, buf.len()), DecodeOutcome::Clean);
+        let ops = [(7u64, Some(())), (u64::MAX, None), (0, Some(()))];
+        let buf = encoded(42, &ops);
+        assert_eq!(decoded::<()>(&buf), Some((42, ops.to_vec())));
+        assert_eq!(decode::<u64, ()>(&buf, buf.len()), DecodeOutcome::Clean);
+    }
+
+    #[test]
+    fn map_records_round_trip_with_values() {
+        let ops = [(7u64, Some(700u64)), (9, None), (u64::MAX, Some(0))];
+        let buf = encoded(13, &ops);
+        assert_eq!(decoded::<u64>(&buf), Some((13, ops.to_vec())));
+        assert_eq!(decode::<u64, u64>(&buf, buf.len()), DecodeOutcome::Clean);
+    }
+
+    #[test]
+    fn one_op_record_lengths_are_pinned() {
+        // 12-byte frame + 8 seq + 4 n_ops + kind + key (+ value): these
+        // are the bytes per op the durable tiers report.
+        assert_eq!(encoded(1, &[(5u64, Some(()))]).len(), 33);
+        assert_eq!(encoded(1, &[(5u64, Some(50u64))]).len(), 41);
+        // A remove carries the same width as a put.
+        assert_eq!(encoded::<u64>(1, &[(5u64, None)]).len(), 41);
+    }
+
+    #[test]
+    fn an_empty_round_encodes_to_nothing() {
+        let mut buf = vec![0xAB];
+        let ops: [(&u64, Option<&()>); 0] = [];
+        assert_eq!(encode(3, ops, &mut buf), 0);
+        assert_eq!(buf, [0xAB], "nothing appended, nothing disturbed");
     }
 
     #[test]
     fn every_truncation_point_reads_as_torn() {
-        let buf = roundtrip(9, &[(WalOp::Insert, 123), (WalOp::Remove, 456)]);
+        let buf = encoded(9, &[(123u64, Some(())), (456, None)]);
         for cut in 1..buf.len() {
             assert_eq!(
-                decode_record::<u64>(&buf[..cut], 0),
+                decode::<u64, ()>(&buf[..cut], 0),
                 DecodeOutcome::Torn,
                 "prefix of {cut} bytes should read as torn"
             );
@@ -343,11 +324,11 @@ mod tests {
 
     #[test]
     fn every_single_byte_flip_reads_as_torn_or_shorter_valid_log() {
-        let buf = roundtrip(5, &[(WalOp::Insert, 0xDEAD_BEEF)]);
+        let buf = encoded(5, &[(0xDEAD_BEEFu64, Some(()))]);
         for i in 0..buf.len() {
             let mut bad = buf.clone();
             bad[i] ^= 0x01;
-            match decode_record::<u64>(&bad, 0) {
+            match decode::<u64, ()>(&bad, 0) {
                 DecodeOutcome::Torn => {}
                 // A flip in the length field *could* in principle frame a
                 // different window whose checksum happens to match — FNV
@@ -359,66 +340,11 @@ mod tests {
     }
 
     #[test]
-    fn bad_kind_byte_is_torn() {
-        let mut buf = roundtrip(1, &[(WalOp::Insert, 1)]);
-        // Kind byte sits right after header + seq + n_ops.
-        let kind_at = RECORD_HEADER + 8 + 4;
-        buf[kind_at] = 7;
-        // Recompute the checksum so only the kind is wrong.
-        let payload = &buf[RECORD_HEADER..];
-        let sum = fnv1a(payload);
-        buf[4..12].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(decode_record::<u64>(&buf, 0), DecodeOutcome::Torn);
-    }
-
-    #[test]
-    fn implausible_length_is_torn_not_a_huge_allocation() {
-        let mut buf = vec![0u8; RECORD_HEADER];
-        buf[0..4].copy_from_slice(&(u32::MAX).to_le_bytes());
-        assert_eq!(decode_record::<u64>(&buf, 0), DecodeOutcome::Torn);
-    }
-
-    fn kv_roundtrip(seq: u64, ops: &[WalMapOp<u64, u64>]) -> Vec<u8> {
-        let mut buf = Vec::new();
-        let borrowed: Vec<WalMapOpRef<'_, u64, u64>> = ops
-            .iter()
-            .map(|op| match op {
-                WalMapOp::InsertKv(k, v) => WalMapOpRef::InsertKv(k, v),
-                WalMapOp::Remove(k) => WalMapOpRef::Remove(k),
-            })
-            .collect();
-        encode_map_record(seq, &borrowed, &mut buf);
-        buf
-    }
-
-    #[test]
-    fn map_records_round_trip_with_values() {
-        let ops = vec![
-            WalMapOp::InsertKv(7u64, 700u64),
-            WalMapOp::Remove(9),
-            WalMapOp::InsertKv(u64::MAX, 0),
-        ];
-        let buf = kv_roundtrip(13, &ops);
-        match decode_map_record::<u64, u64>(&buf, 0) {
-            DecodeOutcome::Record { record, consumed } => {
-                assert_eq!(consumed, buf.len());
-                assert_eq!(record.seq, 13);
-                assert_eq!(record.ops, ops);
-            }
-            other => panic!("expected a record, got {other:?}"),
-        }
-        assert_eq!(
-            decode_map_record::<u64, u64>(&buf, buf.len()),
-            DecodeOutcome::Clean
-        );
-    }
-
-    #[test]
     fn map_truncations_and_flips_read_as_torn() {
-        let buf = kv_roundtrip(3, &[WalMapOp::InsertKv(1, 2), WalMapOp::Remove(3)]);
+        let buf = encoded(3, &[(1u64, Some(2u64)), (3, None)]);
         for cut in 1..buf.len() {
             assert_eq!(
-                decode_map_record::<u64, u64>(&buf[..cut], 0),
+                decode::<u64, u64>(&buf[..cut], 0),
                 DecodeOutcome::Torn,
                 "prefix of {cut} bytes"
             );
@@ -427,7 +353,7 @@ mod tests {
             let mut bad = buf.clone();
             bad[i] ^= 0x01;
             assert_eq!(
-                decode_map_record::<u64, u64>(&bad, 0),
+                decode::<u64, u64>(&bad, 0),
                 DecodeOutcome::Torn,
                 "flip at byte {i}"
             );
@@ -435,33 +361,78 @@ mod tests {
     }
 
     #[test]
-    fn codecs_reject_each_others_kinds() {
-        // A set record (KIND_INSERT, keys only) must not decode as a map
-        // record: the map codec has no value to give kind 0.
-        let set_buf = roundtrip(1, &[(WalOp::Insert, 5)]);
-        assert_eq!(
-            decode_map_record::<u64, u64>(&set_buf, 0),
-            DecodeOutcome::Torn
-        );
-        // And a map upsert (KIND_INSERT_KV) must not decode as a set
-        // record: the set codec does not know the kind.
-        let map_buf = kv_roundtrip(1, &[WalMapOp::InsertKv(5, 50)]);
-        assert_eq!(decode_record::<u64>(&map_buf, 0), DecodeOutcome::Torn);
-        // Removes are the same width in both framings, but the set codec
-        // still rejects the record when any op in it is value-bearing.
-        let mixed = kv_roundtrip(2, &[WalMapOp::Remove(1), WalMapOp::InsertKv(2, 20)]);
-        assert_eq!(decode_record::<u64>(&mixed, 0), DecodeOutcome::Torn);
+    fn a_record_of_another_value_width_is_torn() {
+        // A set record must not decode as a map record — there is no
+        // value to give it — nor a map record as a set record.
+        let set_buf = encoded(1, &[(5u64, Some(()))]);
+        assert_eq!(decode::<u64, u64>(&set_buf, 0), DecodeOutcome::Torn);
+        let map_buf = encoded(1, &[(5u64, Some(50u64))]);
+        assert_eq!(decode::<u64, ()>(&map_buf, 0), DecodeOutcome::Torn);
+        // Two set ops span the bytes of one map op plus change: the
+        // width check, not luck, keeps them apart.
+        let pair = encoded(2, &[(1u64, None::<()>), (2, None)]);
+        assert_eq!(decode::<u64, u64>(&pair, 0), DecodeOutcome::Torn);
+    }
+
+    /// Overwrites the first op's kind byte and re-seals the checksum, so
+    /// only the kind is wrong.
+    fn with_kind(mut buf: Vec<u8>, kind: u8) -> Vec<u8> {
+        // Kind byte sits right after header + seq + n_ops.
+        buf[RECORD_HEADER + 8 + 4] = kind;
+        let sum = fnv1a(&buf[RECORD_HEADER..]);
+        buf[4..12].copy_from_slice(&sum.to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn bad_kind_byte_is_torn() {
+        let buf = with_kind(encoded(1, &[(1u64, Some(()))]), 7);
+        assert_eq!(decode::<u64, ()>(&buf, 0), DecodeOutcome::Torn);
     }
 
     #[test]
     fn unknown_map_kind_is_torn() {
-        let mut buf = kv_roundtrip(1, &[WalMapOp::Remove(1)]);
-        let kind_at = RECORD_HEADER + 8 + 4;
-        buf[kind_at] = 9;
-        let payload = &buf[RECORD_HEADER..];
-        let sum = fnv1a(payload);
-        buf[4..12].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(decode_map_record::<u64, u64>(&buf, 0), DecodeOutcome::Torn);
+        let buf = with_kind(encoded::<u64>(1, &[(1u64, None)]), 9);
+        assert_eq!(decode::<u64, u64>(&buf, 0), DecodeOutcome::Torn);
+    }
+
+    #[test]
+    fn implausible_length_is_torn_not_a_huge_allocation() {
+        let mut buf = vec![0u8; RECORD_HEADER];
+        buf[0..4].copy_from_slice(&(u32::MAX).to_le_bytes());
+        assert_eq!(decode::<u64, ()>(&buf, 0), DecodeOutcome::Torn);
+    }
+
+    #[test]
+    fn headers_refuse_other_widths_and_retired_dialects() {
+        let path = Path::new("artefact");
+        let head = header(b"PBWAL", 8);
+        assert!(check_header(&head, b"PBWAL", 8, path).unwrap());
+        let refused = |bytes: &[u8], width| {
+            check_header(bytes, b"PBWAL", width, path)
+                .unwrap_err()
+                .kind()
+        };
+        assert_eq!(refused(&head, 0), io::ErrorKind::InvalidData);
+        for retired in RETIRED {
+            assert_eq!(refused(retired, 0), io::ErrorKind::InvalidData);
+        }
+        // Short or damaged headers are damage, not foreign: one flipped
+        // byte never yields another width's (or a retired) header.
+        assert!(!check_header(&head[..7], b"PBWAL", 8, path).unwrap());
+        for width in [0, 8, 16] {
+            let head = header(b"PBWAL", width);
+            for i in 0..HEADER {
+                for bit in 0..8 {
+                    let mut bad = head;
+                    bad[i] ^= 1 << bit;
+                    assert!(
+                        !check_header(&bad, b"PBWAL", width, path).unwrap(),
+                        "width {width}, byte {i}, bit {bit}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

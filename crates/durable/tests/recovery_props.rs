@@ -14,18 +14,20 @@
 //!    recover exactly the state as of the last record before the damage
 //!    (and heal, so a second open is clean); a flipped manifest or
 //!    snapshot byte must refuse to open with `InvalidData` — never panic,
-//!    and never silently fall back to an emptier state.
+//!    and never silently fall back to an emptier state.  Both tiers share
+//!    one recovery engine, so each fuzz runs over a [`DurableSet`] and a
+//!    [`DurableMap`] fixture, the map's checked value by value.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use batchapi::Batch;
-use durable::{DurableOptions, DurableSet};
+use durable::{DurableMap, DurableOptions, DurableSet};
 use forkjoin::Pool;
-use pbist::IstSet;
+use pbist::{IstMap, IstSet};
 
 static DIR_ID: AtomicU64 = AtomicU64::new(0);
 
@@ -170,33 +172,121 @@ fn recovery_matches_a_btreeset_oracle_across_the_config_grid() {
     }
 }
 
+/// A durable tier the corrupt-a-byte fuzzers drive, seen as `(key,
+/// value)` entries: the set stores no values (reported as 0), the map
+/// stores [`Tier::value`] under each key, so its recovery is checked
+/// value by value.
+trait Tier: Sized {
+    fn open_with(dir: &Path, options: DurableOptions) -> io::Result<Self>;
+    /// The value the fixture stores under `key`.
+    fn value(key: u64) -> u64;
+    fn insert(&self, key: u64) -> bool;
+    fn remove(&self, key: u64) -> bool;
+    fn snapshot(&self);
+    fn close(self);
+    fn torn_tails(&self) -> Option<u64>;
+    fn entries(&self) -> Vec<(u64, u64)>;
+
+    /// Opens with group commit 1 and no automatic snapshots.
+    fn open(dir: &Path) -> Self {
+        Self::open_with(
+            dir,
+            DurableOptions {
+                group_commit: 1,
+                ..DurableOptions::default()
+            },
+        )
+        .expect("open durable tier")
+    }
+}
+
+impl Tier for DurableSet<u64, IstSet<u64>> {
+    fn open_with(dir: &Path, options: DurableOptions) -> io::Result<Self> {
+        DurableSet::open(dir, Pool::new(1).expect("pool"), options, |batch| {
+            IstSet::from_batch(&batch)
+        })
+    }
+    fn value(_: u64) -> u64 {
+        0
+    }
+    fn insert(&self, key: u64) -> bool {
+        DurableSet::insert(self, key).expect("insert")
+    }
+    fn remove(&self, key: u64) -> bool {
+        DurableSet::remove(self, &key).expect("remove")
+    }
+    fn snapshot(&self) {
+        DurableSet::snapshot(self).expect("snapshot");
+    }
+    fn close(self) {
+        DurableSet::close(self).expect("close");
+    }
+    fn torn_tails(&self) -> Option<u64> {
+        self.metrics().counter("durable.torn_tails")
+    }
+    fn entries(&self) -> Vec<(u64, u64)> {
+        contents(self).into_iter().map(|k| (k, 0)).collect()
+    }
+}
+
+impl Tier for DurableMap<u64, u64, IstMap<u64, u64>> {
+    fn open_with(dir: &Path, options: DurableOptions) -> io::Result<Self> {
+        DurableMap::open(dir, options, |batch| IstMap::from_kv_batch(&batch))
+    }
+    fn value(key: u64) -> u64 {
+        key.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1
+    }
+    fn insert(&self, key: u64) -> bool {
+        DurableMap::insert(self, key, Self::value(key)).expect("insert")
+    }
+    fn remove(&self, key: u64) -> bool {
+        DurableMap::remove(self, &key).expect("remove")
+    }
+    fn snapshot(&self) {
+        DurableMap::snapshot(self).expect("snapshot");
+    }
+    fn close(self) {
+        DurableMap::close(self).expect("close");
+    }
+    fn torn_tails(&self) -> Option<u64> {
+        self.metrics().counter("durable.torn_tails")
+    }
+    fn entries(&self) -> Vec<(u64, u64)> {
+        self.collect_entries()
+    }
+}
+
+type SetTier = DurableSet<u64, IstSet<u64>>;
+type MapTier = DurableMap<u64, u64, IstMap<u64, u64>>;
+
 /// Builds a directory whose WAL holds exactly 24 single-op records (no
 /// snapshot), returning the oracle state after each record: `states[k]`
 /// is the contents once the first `k` records have applied.
-fn build_wal_fixture(dir: &Path) -> Vec<Vec<u64>> {
-    let mut oracle: BTreeSet<u64> = BTreeSet::new();
+fn build_wal_fixture<T: Tier>(dir: &Path) -> Vec<Vec<(u64, u64)>> {
+    let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
     let mut states = vec![Vec::new()];
-    let set = open(dir, 1, 0);
+    let tier = T::open(dir);
     for i in 0..24u64 {
         // Every op is effective (ineffective ops write no record): two
         // inserts of fresh keys, then a remove of the second.
         if i % 3 == 2 {
-            assert!(set.remove(&(i - 1)).expect("remove"));
+            assert!(tier.remove(i - 1));
             oracle.remove(&(i - 1));
         } else {
-            assert!(set.insert(i).expect("insert"));
-            oracle.insert(i);
+            assert!(tier.insert(i));
+            oracle.insert(i, T::value(i));
         }
-        states.push(oracle.iter().copied().collect());
+        states.push(oracle.iter().map(|(&k, &v)| (k, v)).collect());
     }
-    set.close().expect("close fixture");
+    tier.close();
     states
 }
 
-#[test]
-fn flipping_any_wal_byte_recovers_the_prefix_before_the_damage() {
-    let base = scratch_dir("wal-fuzz-base");
-    let states = build_wal_fixture(&base);
+/// The WAL fuzz for one tier: flip each segment byte in a fresh copy of
+/// the fixture and check recovery keeps exactly the records before it.
+fn flip_every_wal_byte<T: Tier>(tag: &str) {
+    let base = scratch_dir(&format!("{tag}-wal-fuzz-base"));
+    let states = build_wal_fixture::<T>(&base);
 
     // All 24 records land in the single active segment the fixture's one
     // open created (default 8 MiB rotation threshold).
@@ -217,7 +307,7 @@ fn flipping_any_wal_byte_recovers_the_prefix_before_the_damage() {
     let record = (len - MAGIC) / 24;
 
     for at in 0..len {
-        let dir = scratch_dir("wal-fuzz");
+        let dir = scratch_dir(&format!("{tag}-wal-fuzz"));
         copy_dir(&base, &dir);
         flip_byte(&dir.join(&segment_name), at);
 
@@ -225,36 +315,46 @@ fn flipping_any_wal_byte_recovers_the_prefix_before_the_damage() {
         // k keeps exactly the records before it.  Either way open()
         // succeeds — a damaged log *tail* is the expected crash shape.
         let survivors = if at < MAGIC { 0 } else { (at - MAGIC) / record };
-        let set = open(&dir, 1, 0);
+        let tier = T::open(&dir);
         assert_eq!(
-            set.metrics().counter("durable.torn_tails"),
+            tier.torn_tails(),
             Some(1),
-            "byte {at}: the flip must read as a tear"
+            "{tag} byte {at}: the flip must read as a tear"
         );
         assert_eq!(
-            contents(&set),
+            tier.entries(),
             states[survivors],
-            "byte {at}: recovery must keep exactly the {survivors} records before the damage"
+            "{tag} byte {at}: recovery must keep exactly the {survivors} records before the damage"
         );
-        drop(set);
+        drop(tier);
 
         // Recovery healed (truncated or deleted) the damage: the second
         // open replays a clean log and agrees.
-        let set = open(&dir, 1, 0);
+        let tier = T::open(&dir);
         assert_eq!(
-            set.metrics().counter("durable.torn_tails"),
+            tier.torn_tails(),
             Some(0),
-            "byte {at}: the tear must not survive healing"
+            "{tag} byte {at}: the tear must not survive healing"
         );
         assert_eq!(
-            contents(&set),
+            tier.entries(),
             states[survivors],
-            "byte {at}: healed state drifted"
+            "{tag} byte {at}: healed state drifted"
         );
-        drop(set);
+        drop(tier);
         fs::remove_dir_all(&dir).unwrap();
     }
     fs::remove_dir_all(&base).unwrap();
+}
+
+#[test]
+fn flipping_any_wal_byte_recovers_the_prefix_before_the_damage() {
+    flip_every_wal_byte::<SetTier>("set");
+}
+
+#[test]
+fn flipping_any_map_wal_byte_recovers_the_prefix_value_exact() {
+    flip_every_wal_byte::<MapTier>("map");
 }
 
 /// All `wal-*.log` segments in `dir` as `(file name, byte length)`,
@@ -366,19 +466,20 @@ fn an_oversized_record_appends_whole_to_one_fresh_segment() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
-#[test]
-fn flipping_any_manifest_or_snapshot_byte_refuses_to_open() {
-    let base = scratch_dir("snap-fuzz-base");
+/// The manifest/snapshot fuzz for one tier: flip each byte of the
+/// committed recovery root in a fresh copy and check the open refuses.
+fn flip_every_root_byte<T: Tier>(tag: &str) {
+    let base = scratch_dir(&format!("{tag}-snap-fuzz-base"));
     {
-        let set = open(&base, 1, 0);
+        let tier = T::open(&base);
         for i in 0..10u64 {
-            set.insert(i).expect("insert");
+            tier.insert(i);
         }
-        set.snapshot().expect("snapshot");
+        tier.snapshot();
         for i in 10..15u64 {
-            set.insert(i).expect("insert");
+            tier.insert(i);
         }
-        set.close().expect("close fixture");
+        tier.close();
     }
 
     let snap_name = fs::read_dir(&base)
@@ -393,34 +494,42 @@ fn flipping_any_manifest_or_snapshot_byte_refuses_to_open() {
     for target in ["MANIFEST", snap_name.to_str().unwrap()] {
         let len = fs::metadata(base.join(target)).unwrap().len() as usize;
         for at in 0..len {
-            let dir = scratch_dir("snap-fuzz");
+            let dir = scratch_dir(&format!("{tag}-snap-fuzz"));
             copy_dir(&base, &dir);
             flip_byte(&dir.join(target), at);
 
             // The manifest authorised deleting older log segments, so a
             // damaged manifest or snapshot cannot degrade to "no
             // snapshot" — that would present data loss as a clean open.
-            let err = DurableSet::<u64, IstSet<u64>>::open(
-                &dir,
-                Pool::new(1).expect("pool"),
-                DurableOptions::default(),
-                |batch| IstSet::from_batch(&batch),
-            )
-            .err()
-            .unwrap_or_else(|| panic!("{target} byte {at}: corrupt root opened anyway"));
+            let err = T::open_with(&dir, DurableOptions::default())
+                .err()
+                .unwrap_or_else(|| panic!("{tag} {target} byte {at}: corrupt root opened anyway"));
             assert_eq!(
                 err.kind(),
                 io::ErrorKind::InvalidData,
-                "{target} byte {at}: wrong error kind ({err})"
+                "{tag} {target} byte {at}: wrong error kind ({err})"
             );
         }
         // The un-flipped copy still opens: the fixture itself is sound.
-        let dir = scratch_dir("snap-fuzz-sound");
+        let dir = scratch_dir(&format!("{tag}-snap-fuzz-sound"));
         copy_dir(&base, &dir);
-        let set = open(&dir, 1, 0);
-        assert_eq!(contents(&set), (0..15u64).collect::<Vec<_>>());
-        drop(set);
+        let tier = T::open(&dir);
+        assert_eq!(
+            tier.entries(),
+            (0..15u64).map(|k| (k, T::value(k))).collect::<Vec<_>>()
+        );
+        drop(tier);
         fs::remove_dir_all(&dir).unwrap();
     }
     fs::remove_dir_all(&base).unwrap();
+}
+
+#[test]
+fn flipping_any_manifest_or_snapshot_byte_refuses_to_open() {
+    flip_every_root_byte::<SetTier>("set");
+}
+
+#[test]
+fn flipping_any_map_manifest_or_snapshot_byte_refuses_to_open() {
+    flip_every_root_byte::<MapTier>("map");
 }
