@@ -65,8 +65,8 @@
 //! machinery entirely: [`ConcurrentSet::batch_contains`] /
 //! [`ConcurrentSet::batch_insert`] / [`ConcurrentSet::batch_remove`] make
 //! the caller the combiner, flush any point ops published before it won
-//! the flag, and execute the whole batch as one committed round (logged,
-//! counted, and poison-checked like any other).
+//! the flag, and execute the whole batch as one committed round (handed to
+//! the sink, counted, and poison-checked like any other).
 //!
 //! # Linearisability
 //!
@@ -78,21 +78,32 @@
 //! themselves are ordered by combiner succession, which respects real time
 //! (an op completed in round *r* was drained before *r* executed, so any op
 //! starting later publishes after the drain and lands in a later round).
-//! [`ConcurrentSet::take_rounds`] exposes the committed order (when
-//! [`Options::log_rounds`] is set) so tests can replay it against a
-//! sequential oracle — `tests/combine_stress.rs` does exactly that.
+//! A [`RoundSink`] sees the committed order: a [`RoundLog`] records it so
+//! tests can replay it against a sequential oracle —
+//! `tests/combine_stress.rs` does exactly that.
+//!
+//! # Round sink
+//!
+//! [`ConcurrentSet::with_sink`] installs a [`RoundSink`], which the
+//! combiner hands every committed round exactly once, in seq order: after
+//! the round's snapshot is published and before any of its clients is
+//! acknowledged, with the ops by reference in linearisation order (no key
+//! cloned, no per-round buffer).  A durable sink thus appends in combining
+//! order by construction.  A panicking sink poisons the front-end like a
+//! panicking backend.
 //!
 //! # Round sequence numbers and the staleness contract
 //!
 //! Every committed round carries a sequence number: strictly increasing,
-//! gap-free, starting at [`Options::first_seq`]` + 1` ([`Round::seq`] in the
-//! log).  Because the seq order *is* the linearisation order, a single
-//! `u64` names any prefix of the history, which is what two consumers need:
+//! gap-free, starting at [`Options::first_seq`]` + 1` (the `seq` each
+//! [`RoundSink::round`] call carries).  Because the seq order *is* the
+//! linearisation order, a single `u64` names any prefix of the history,
+//! which is what two consumers need:
 //!
-//! * **Durable replay is idempotent.**  A write-ahead log downstream of
-//!   [`ConcurrentSet::take_rounds`] records each round under its seq; a
-//!   snapshot taken via [`ConcurrentSet::snapshot_keys`] records the
-//!   high-water mark it reflects.  Recovery loads the snapshot and applies
+//! * **Durable replay is idempotent.**  A write-ahead log behind the
+//!   [`RoundSink`] records each round under its seq; a snapshot taken via
+//!   [`ConcurrentSet::snapshot_keys`] records the high-water mark it
+//!   reflects.  Recovery loads the snapshot and applies
 //!   only records with `seq >` the mark — records at or below it (or
 //!   replayed twice across restarts) change nothing.
 //! * **Read-your-writes for snapshot readers.**  The wait-free read path
@@ -223,7 +234,9 @@ struct OpSlot<K> {
     done: AtomicBool,
 }
 
-/// One operation as committed by a combining round, for the round log.
+/// One operation as committed by a combining round.  A [`RoundSink`] sees
+/// it as `RoundOp<&K>`, borrowing the key; a [`RoundLog`] keeps it as
+/// `RoundOp<K>`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundOp<K> {
     /// What the operation did.
@@ -234,22 +247,61 @@ pub struct RoundOp<K> {
     pub result: bool,
 }
 
-/// One committed combining round: its operations in linearisation order
-/// (`Contains` ops first, then `Insert`, then `Remove`; publish order within
-/// each kind).  Replaying rounds in commit order against a sequential set
-/// must reproduce every `result` — the stress suite's oracle check.
+/// One committed combining round as a [`RoundLog`] records it: its
+/// operations in linearisation order (`Contains` ops first, then
+/// `Insert`, then `Remove`; publish order within each kind).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Round<K> {
-    /// The round's sequence number: rounds commit with strictly increasing,
-    /// gap-free sequence numbers starting at [`Options::first_seq`]` + 1`,
-    /// so the log order *is* the seq order and any prefix of the history is
-    /// named by a single `u64` high-water mark.  This is what makes
-    /// downstream replay idempotent (a durability tier skips records at or
-    /// below its snapshot's seq) and what a read-your-writes contract hangs
-    /// off (see the module docs' *staleness contract* section).
+    /// The round's sequence number (see [`RoundSink::round`]).
     pub seq: u64,
     /// The committed operations, in linearisation order.
     pub ops: Vec<RoundOp<K>>,
+}
+
+/// A consumer of the committed round stream (see the module docs' *round
+/// sink* section).
+pub trait RoundSink<K>: Send + Sync {
+    /// Takes committed round `seq` (strictly increasing and gap-free from
+    /// [`Options::first_seq`]` + 1`, so one `u64` names any prefix of the
+    /// history); `ops` yields its operations in linearisation order.
+    fn round(&self, seq: u64, ops: &mut dyn Iterator<Item = RoundOp<&K>>);
+}
+
+/// A [`RoundSink`] that records every round, cloning its keys: the witness
+/// the replay tests check against a sequential oracle.  Unbounded — a
+/// testing sink, not one to leave installed in a service.
+pub struct RoundLog<K> {
+    rounds: Mutex<Vec<Round<K>>>,
+}
+
+impl<K> Default for RoundLog<K> {
+    fn default() -> RoundLog<K> {
+        RoundLog {
+            rounds: Mutex::new(Vec::new()),
+        }
+    }
+}
+
+impl<K> RoundLog<K> {
+    /// Drains the recorded rounds, in commit order.  Replaying them against
+    /// a sequential set must reproduce every `result`.
+    pub fn take(&self) -> Vec<Round<K>> {
+        mem::take(&mut *self.rounds.lock().expect("round log poisoned"))
+    }
+}
+
+impl<K: Clone + Send> RoundSink<K> for RoundLog<K> {
+    fn round(&self, seq: u64, ops: &mut dyn Iterator<Item = RoundOp<&K>>) {
+        let ops = ops
+            .map(|op| RoundOp {
+                kind: op.kind,
+                key: op.key.clone(),
+                result: op.result,
+            })
+            .collect();
+        let mut rounds = self.rounds.lock().expect("round log poisoned");
+        rounds.push(Round { seq, ops });
+    }
 }
 
 /// Construction-time knobs for [`ConcurrentSet`].
@@ -261,17 +313,13 @@ pub struct Options {
     /// paying a pool round-trip for a handful of keys).  `0` forces every
     /// round through the pool; `usize::MAX` keeps everything inline.
     pub pool_cutoff: usize,
-    /// Record every committed round for [`ConcurrentSet::take_rounds`].
-    /// Off by default: the log clones every key and grows without bound,
-    /// so it is strictly a testing/debugging facility.
-    pub log_rounds: bool,
     /// Capacity of the round-trace ring behind
     /// [`ConcurrentSet::take_trace`] / [`ConcurrentSet::trace_json`]:
     /// one span per committed round, begin/end timestamps plus op count.
     /// `0` (the default) disables tracing.  The ring is bounded — once
     /// full each new span evicts the oldest (the eviction count is
     /// reported alongside the spans), so it is safe to leave on in
-    /// long-running services, unlike the round log.
+    /// long-running services, unlike a [`RoundLog`].
     pub trace_capacity: usize,
     /// Sequence number the round counter starts *after*: the first
     /// committed round gets seq `first_seq + 1`.  `0` (the default) numbers
@@ -285,8 +333,9 @@ pub struct Options {
     /// published [`ReadSnapshot`] instead of electing a combiner (see the
     /// module docs' *wait-free snapshot reads* section).  On by default.
     /// Turning it off routes every read through a combining round of its
-    /// own — each read then linearises against concurrent writes and lands
-    /// in the round log, which the linearisability replay suites rely on.
+    /// own — each read then linearises against concurrent writes and
+    /// reaches the [`RoundSink`], which the linearisability replay suites
+    /// rely on.
     pub snapshot_reads: bool,
 }
 
@@ -294,7 +343,6 @@ impl Default for Options {
     fn default() -> Options {
         Options {
             pool_cutoff: 512,
-            log_rounds: false,
             trace_capacity: 0,
             first_seq: 0,
             snapshot_reads: true,
@@ -602,16 +650,10 @@ pub struct ConcurrentSet<K, S> {
     /// Head of the Treiber-stack ingress list of published op slots.
     ingress: AtomicPtr<OpSlot<K>>,
     /// The combiner flag: held (`true`) by at most one thread, which has
-    /// exclusive access to `set`, `scratch` and the log tail.
+    /// exclusive access to `set`, `scratch` and the sink.
     combiner: AtomicBool,
     /// The backing batched set.  Touched only while holding `combiner`.
     set: UnsafeCell<S>,
-    /// Sequence number of the most recently committed round (starts at
-    /// [`Options::first_seq`]).  Advanced by the combiner for **every**
-    /// committed round, logged or not, so snapshot high-water marks stay
-    /// meaningful even when the round log is off.  Touched only while
-    /// holding `combiner`.
-    seq: UnsafeCell<u64>,
     /// Reused round buffers.  Touched only while holding `combiner`.
     scratch: UnsafeCell<Scratch<K>>,
     /// The last published read snapshot (root + seq), republished by the
@@ -619,9 +661,10 @@ pub struct ConcurrentSet<K, S> {
     /// snapshot read path; written only while holding `combiner`.
     snap: SnapCell<K>,
     /// Seq of the last committed round of *any* kind (read-only rounds
-    /// included), stored by the combiner after the round's snapshot (if
-    /// any) is published.  Lets [`ConcurrentSet::read_at_least`] tell a
-    /// stale snapshot *mark* from stale snapshot *contents*.
+    /// included; starts at [`Options::first_seq`]; the next round's is this
+    /// plus one), stored only by the combiner, after the round's snapshot
+    /// (if any) is published.  Lets [`ConcurrentSet::read_at_least`] tell
+    /// a stale snapshot *mark* from stale snapshot *contents*.
     committed: AtomicU64,
     /// See [`Options::snapshot_reads`].
     snapshot_reads: bool,
@@ -629,10 +672,9 @@ pub struct ConcurrentSet<K, S> {
     pool: Pool,
     /// See [`Options::pool_cutoff`].
     pool_cutoff: usize,
-    /// Committed-round log, present when [`Options::log_rounds`] was set.
-    /// Appended only by the combiner; the mutex serialises appends against
-    /// concurrent [`ConcurrentSet::take_rounds`] drains.
-    log: Option<Mutex<Vec<Round<K>>>>,
+    /// Consumer of the committed rounds, installed by
+    /// [`ConcurrentSet::with_sink`]; called only by the combiner.
+    sink: Option<Arc<dyn RoundSink<K>>>,
     /// Guards `progress` (never the data — that is what `combiner` is for).
     sleep_mutex: Mutex<()>,
     /// Signalled after every round commit and combiner unlock.
@@ -686,15 +728,15 @@ impl<K, S> Drop for CombinerGuard<'_, K, S> {
     }
 }
 
-// SAFETY: `ConcurrentSet` is a Mutex-like container.  `set`, `scratch` and
-// the log tail are accessed only by the thread holding the `combiner` flag
+// SAFETY: `ConcurrentSet` is a Mutex-like container.  `set` and `scratch`
+// are accessed only by the thread holding the `combiner` flag
 // (Acquire/Release on that flag sequences successive combiners), so they
 // need `Send` but not `Sync`.  The ingress list holds pointers to `OpSlot`s
 // pinned on client stacks; the publish CAS (Release) / drain swap (Acquire)
 // pair transfers them to the combiner, which reads `key` by shared
 // reference from another thread — hence `K: Sync` — and hands them back
 // through the `done` Release/Acquire pair, after which only the owning
-// client touches them.
+// client touches them.  The sink is `Send + Sync` by its trait bound.
 unsafe impl<K: Send + Sync, S: Send> Sync for ConcurrentSet<K, S> {}
 unsafe impl<K: Send, S: Send> Send for ConcurrentSet<K, S> {}
 
@@ -723,7 +765,6 @@ where
             ingress: AtomicPtr::new(ptr::null_mut()),
             combiner: AtomicBool::new(false),
             set: UnsafeCell::new(set),
-            seq: UnsafeCell::new(options.first_seq),
             snap,
             committed: AtomicU64::new(options.first_seq),
             snapshot_reads: options.snapshot_reads,
@@ -735,7 +776,7 @@ where
             }),
             pool,
             pool_cutoff: options.pool_cutoff,
-            log: options.log_rounds.then(|| Mutex::new(Vec::new())),
+            sink: None,
             sleep_mutex: Mutex::new(()),
             progress: Condvar::new(),
             sleepers: AtomicUsize::new(0),
@@ -743,6 +784,19 @@ where
             registry,
             metrics,
             trace: (options.trace_capacity > 0).then(|| TraceRing::new(options.trace_capacity)),
+        }
+    }
+
+    /// [`ConcurrentSet::with_options`], plus a [`RoundSink`] for every round.
+    pub fn with_sink(
+        set: S,
+        pool: Pool,
+        options: Options,
+        sink: Arc<dyn RoundSink<K>>,
+    ) -> ConcurrentSet<K, S> {
+        ConcurrentSet {
+            sink: Some(sink),
+            ..ConcurrentSet::with_options(set, pool, options)
         }
     }
 
@@ -877,8 +931,8 @@ where
     /// through: the caller becomes the combiner (flushing any point ops
     /// published before it won the flag — they were pending first, so they
     /// linearise first), runs the whole batch against the backend in one
-    /// round, and commits it to the round log like any other round.  Batches
-    /// of at least [`Options::pool_cutoff`] keys execute inside the pool.
+    /// round, and commits it like any other round.  Batches of at least
+    /// [`Options::pool_cutoff`] keys execute inside the pool.
     ///
     /// # Panics
     ///
@@ -913,8 +967,8 @@ where
     /// can reuse one buffer per shard.
     ///
     /// With [`Options::snapshot_reads`] on the whole batch is answered from
-    /// one snapshot — one consistent linearisation point, no round, no log
-    /// entry; otherwise it commits as a combining round of its own.
+    /// one snapshot — one consistent linearisation point, no round, no sink
+    /// call; otherwise it commits as a combining round of its own.
     pub fn batch_contains_report(&self, batch: &Batch<K>, out: &mut Vec<bool>) {
         if self.snapshot_reads {
             self.check_poisoned();
@@ -943,8 +997,9 @@ where
     /// Becomes the combiner (waiting out a concurrent one), flushes pending
     /// published ops, then executes `batch` as one `kind` round: the
     /// backend's batched op runs once, per-key flags land in `out`, and the
-    /// round is logged and counted exactly like a combined one.  Duplicate
-    /// resolution never arises — a [`Batch`] holds each key at most once.
+    /// round is committed and counted exactly like a combined one.
+    /// Duplicate resolution never arises — a [`Batch`] holds each key at
+    /// most once.
     fn run_batch_op(&self, kind: OpKind, batch: &Batch<K>, out: &mut Vec<bool>) {
         out.clear();
         if batch.is_empty() {
@@ -983,20 +1038,11 @@ where
                     run(set, out);
                 }
                 debug_assert_eq!(out.len(), batch.len(), "one flag per batch key");
-                let seq = self.next_seq();
-                self.commit_round_state(seq, !matches!(kind, OpKind::Contains));
-                if let Some(log) = &self.log {
-                    let ops = batch
-                        .iter()
-                        .zip(out.iter())
-                        .map(|(key, &result)| RoundOp {
-                            kind,
-                            key: key.clone(),
-                            result,
-                        })
-                        .collect();
-                    log.lock().unwrap().push(Round { seq, ops });
-                }
+                let ops = batch.iter().zip(out.iter());
+                self.commit_round(
+                    !matches!(kind, OpKind::Contains),
+                    ops.map(|(key, &result)| RoundOp { kind, key, result }),
+                );
                 self.metrics.batch_rounds.add_single_writer(1);
                 self.bump_stats(total, pooled);
                 return;
@@ -1230,16 +1276,6 @@ where
         }
     }
 
-    /// Drains the committed-round log (empty unless built with
-    /// [`Options::log_rounds`]).  Rounds are in commit order; replaying
-    /// them sequentially reproduces every client-observed result.
-    pub fn take_rounds(&self) -> Vec<Round<K>> {
-        match &self.log {
-            Some(log) => mem::take(&mut *log.lock().unwrap()),
-            None => Vec::new(),
-        }
-    }
-
     /// Consumes the front-end, returning the backing set (and shutting the
     /// pool down).  Owning `self` proves no operation is in flight, so no
     /// published slot can be pending.
@@ -1251,7 +1287,7 @@ where
     /// The uncontended fast path: if nobody is combining, become the
     /// combiner *without* publishing a slot — flush whatever is already
     /// published (ops pending longer than ours must not be starved, and
-    /// linearising them first keeps the log order honest), then run our
+    /// linearising them first keeps the commit order honest), then run our
     /// own op directly against the backend's point path.  No slot, no
     /// `done` handshake, no key clone; under no contention the front-end
     /// costs one CAS + one load over a plain mutex.
@@ -1285,8 +1321,8 @@ where
     }
 
     /// Executes one operation directly against the backend's point path,
-    /// logging it as a round of its own and counting it.  Caller must hold
-    /// the combiner flag.
+    /// committing it as a round of its own and counting it.  Caller must
+    /// hold the combiner flag.
     fn run_point_op(&self, kind: OpKind, key: &K) -> bool {
         // One span per point round; recorded when `_span` drops at return.
         let _span = self.trace.as_ref().map(|ring| obs::trace_round(ring, 1));
@@ -1297,18 +1333,10 @@ where
             OpKind::Remove => set.remove_one(key),
             OpKind::Contains => set.contains(key),
         };
-        let seq = self.next_seq();
-        self.commit_round_state(seq, !matches!(kind, OpKind::Contains));
-        if let Some(log) = &self.log {
-            log.lock().unwrap().push(Round {
-                seq,
-                ops: vec![RoundOp {
-                    kind,
-                    key: key.clone(),
-                    result,
-                }],
-            });
-        }
+        self.commit_round(
+            !matches!(kind, OpKind::Contains),
+            std::iter::once(RoundOp { kind, key, result }),
+        );
         self.bump_stats(1, false);
         result
     }
@@ -1386,15 +1414,22 @@ where
         true
     }
 
-    /// Commits a round's read-path state: republishes the snapshot when
-    /// the round could have mutated the backend, then advances the
-    /// `committed` mark.  Caller must hold the combiner flag and call this
-    /// *after* [`ConcurrentSet::next_seq`] but **before** logging the round
-    /// or storing any client's `done` flag — publish-before-acknowledge is
-    /// the whole read-your-writes guarantee.  Runs on every round, even
-    /// with [`Options::snapshot_reads`] off: `snapshot_keys` and
-    /// `read_at_least` serve from the cell regardless.
-    fn commit_round_state(&self, seq: u64, mutated: bool) {
+    /// Commits an executed round: numbers it, republishes the snapshot if
+    /// the round could have mutated the backend, advances `committed`, and
+    /// hands `ops` to the sink.  Caller holds the combiner flag and has
+    /// stored no client's `done` flag yet — publish-before-acknowledge is
+    /// the whole read-your-writes guarantee, sink-before-acknowledge lets a
+    /// durable sink fsync a round before its clients return.  Runs on every
+    /// round, even with [`Options::snapshot_reads`] off: `snapshot_keys`
+    /// and `read_at_least` serve from the cell regardless.
+    fn commit_round<'a>(&self, mutated: bool, mut ops: impl Iterator<Item = RoundOp<&'a K>>)
+    where
+        K: 'a,
+    {
+        // Only the combiner stores `committed`, and successive combiners
+        // hand it off through the flag's Release/Acquire pair, so seqs are
+        // strictly increasing and gap-free in commit order.
+        let seq = self.committed.load(Ordering::Relaxed) + 1;
         if mutated {
             // SAFETY: combiner flag held — exclusive set access (the
             // round's own `&mut` borrow is dead by the time this runs).
@@ -1409,18 +1444,8 @@ where
             self.snap.publish(Arc::new(ReadSnapshot { seq, view }));
         }
         self.committed.store(seq, Ordering::Release);
-    }
-
-    /// Allocates the sequence number for a round about to commit.  Caller
-    /// must hold the combiner flag; successive combiners hand the counter
-    /// off through the flag's Release/Acquire pair, so seqs are strictly
-    /// increasing and gap-free in commit order.
-    fn next_seq(&self) -> u64 {
-        // SAFETY: combiner-exclusive (like `set` and `scratch`).
-        unsafe {
-            let seq = &mut *self.seq.get();
-            *seq += 1;
-            *seq
+        if let Some(sink) = &self.sink {
+            sink.round(seq, &mut ops);
         }
     }
 
@@ -1563,47 +1588,27 @@ where
             run(set);
         }
 
-        // Fan per-key flags back out to per-op results, logging the
-        // linearised round if asked to.
-        let mut logged = self
-            .log
-            .as_ref()
-            .map(|_| Vec::with_capacity(total as usize));
-        distribute(
-            &con.slots,
-            &con_batch,
-            &con.flags,
-            claimed,
-            false,
-            &mut logged,
-        );
-        distribute(
-            &ins.slots,
-            &ins_batch,
-            &ins.flags,
-            claimed,
-            true,
-            &mut logged,
-        );
-        distribute(
-            &rem.slots,
-            &rem_batch,
-            &rem.flags,
-            claimed,
-            true,
-            &mut logged,
-        );
+        // Fan per-key flags back out to per-op results.
+        distribute(&con.slots, &con_batch, &con.flags, claimed, false);
+        distribute(&ins.slots, &ins_batch, &ins.flags, claimed, true);
+        distribute(&rem.slots, &rem_batch, &rem.flags, claimed, true);
 
-        // Log the round *before* releasing any client: once a `done` flag
-        // is stored its client may return and immediately `take_rounds`,
-        // which must already contain every round whose results have been
-        // observed.  The snapshot publishes first for the same reason —
-        // a released client must find its write in the next snapshot read.
-        let seq = self.next_seq();
-        self.commit_round_state(seq, !ins_batch.is_empty() || !rem_batch.is_empty());
-        if let (Some(log), Some(round)) = (&self.log, logged) {
-            log.lock().unwrap().push(Round { seq, ops: round });
-        }
+        // Commit *before* releasing any client: a released client must
+        // find its write in the next snapshot read, and in the sink.
+        let ops = [&*con, &*ins, &*rem].into_iter().flat_map(|lane| {
+            lane.slots.iter().map(|&slot| {
+                // SAFETY: slots stay pinned until their `done` store below,
+                // and until then `result` (written by `distribute` above) is
+                // combiner-exclusive.
+                let (slot, result) = unsafe { (&*slot, *(*slot).result.get()) };
+                RoundOp {
+                    kind: slot.kind,
+                    key: &slot.key,
+                    result,
+                }
+            })
+        });
+        self.commit_round(!ins_batch.is_empty() || !rem_batch.is_empty(), ops);
 
         // Completion: after each `done` store the owning client may pop the
         // slot off its stack, so this loop is the combiner's last touch.
@@ -1666,13 +1671,12 @@ where
 /// duplicates observe the first one's effect (insert after insert → already
 /// present; remove after remove → already gone), exactly as the replayed
 /// linearisation does.
-fn distribute<K: Ord + Clone>(
+fn distribute<K: Ord>(
     slots: &[*const OpSlot<K>],
     batch: &Batch<K>,
     flags: &[bool],
     claimed: &mut Vec<bool>,
     consume: bool,
-    logged: &mut Option<Vec<RoundOp<K>>>,
 ) {
     claimed.clear();
     claimed.resize(batch.len(), false);
@@ -1693,13 +1697,6 @@ fn distribute<K: Ord + Clone>(
         // SAFETY: combiner-exclusive until `done` is set; the owning client
         // reads `result` only after its Acquire load of `done`.
         unsafe { *slot.result.get() = result };
-        if let Some(log) = logged {
-            log.push(RoundOp {
-                kind: slot.kind,
-                key: slot.key.clone(),
-                result,
-            });
-        }
     }
 }
 
@@ -1754,26 +1751,38 @@ mod tests {
         }
     }
 
-    /// Round-path harness: snapshot reads off, so every read linearises
-    /// through the combiner and lands in the round log — what the replay
+    /// Round-path options: snapshot reads off, so every read linearises
+    /// through the combiner and reaches the sink — what the replay
     /// assertions below count on.  Snapshot-path behaviour has its own
     /// tests.
-    fn fresh(log: bool) -> ConcurrentSet<u64, VecSet> {
-        ConcurrentSet::with_options(
+    fn round_path() -> Options {
+        Options {
+            pool_cutoff: 4,
+            snapshot_reads: false,
+            ..Options::default()
+        }
+    }
+
+    /// Round-path harness without a sink.
+    fn fresh() -> ConcurrentSet<u64, VecSet> {
+        ConcurrentSet::with_options(VecSet(Vec::new()), Pool::new(1).unwrap(), round_path())
+    }
+
+    /// A set built with `options` and a [`RoundLog`] sink.
+    fn logged(options: Options) -> (ConcurrentSet<u64, VecSet>, Arc<RoundLog<u64>>) {
+        let log = Arc::new(RoundLog::default());
+        let set = ConcurrentSet::with_sink(
             VecSet(Vec::new()),
             Pool::new(1).unwrap(),
-            Options {
-                pool_cutoff: 4,
-                log_rounds: log,
-                snapshot_reads: false,
-                ..Options::default()
-            },
-        )
+            options,
+            log.clone(),
+        );
+        (set, log)
     }
 
     #[test]
     fn sequential_ops_have_set_semantics() {
-        let set = fresh(false);
+        let set = fresh();
         assert!(set.insert(5));
         assert!(!set.insert(5));
         assert!(set.insert(9));
@@ -1788,11 +1797,11 @@ mod tests {
 
     #[test]
     fn round_log_records_sequential_history() {
-        let set = fresh(true);
+        let (set, log) = logged(round_path());
         assert!(set.insert(1));
         assert!(set.contains(&1));
         assert!(set.remove(&1));
-        let rounds = set.take_rounds();
+        let rounds = log.take();
         // Sequential clients combine themselves: one op per round.
         assert_eq!(rounds.len(), 3);
         let flat: Vec<RoundOp<u64>> = rounds.into_iter().flat_map(|r| r.ops).collect();
@@ -1817,44 +1826,38 @@ mod tests {
             ]
         );
         // The log drains.
-        assert!(set.take_rounds().is_empty());
+        assert!(log.take().is_empty());
         assert_eq!(set.stats().rounds, 3);
         assert_eq!(set.stats().ops, 3);
     }
 
     #[test]
     fn rounds_carry_gap_free_sequence_numbers() {
-        let set = fresh(true);
+        let (set, log) = logged(round_path());
         assert!(set.insert(1));
         set.batch_insert(&Batch::from_unsorted(vec![2u64, 3]));
         assert!(set.contains(&2));
         assert!(set.remove(&1));
-        let rounds = set.take_rounds();
+        let rounds = log.take();
         let seqs: Vec<u64> = rounds.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![1, 2, 3, 4], "fresh history numbers from 1");
 
-        // Numbering continues across take_rounds drains.
+        // Numbering continues across log drains.
         set.insert(9);
-        assert_eq!(set.take_rounds()[0].seq, 5);
+        assert_eq!(log.take()[0].seq, 5);
 
         // first_seq seeds the counter (the recovery path).
-        let resumed = ConcurrentSet::with_options(
-            VecSet(Vec::new()),
-            Pool::new(1).unwrap(),
-            Options {
-                pool_cutoff: 4,
-                log_rounds: true,
-                first_seq: 41,
-                ..Options::default()
-            },
-        );
+        let (resumed, resumed_log) = logged(Options {
+            first_seq: 41,
+            ..round_path()
+        });
         resumed.insert(7);
-        assert_eq!(resumed.take_rounds()[0].seq, 42);
+        assert_eq!(resumed_log.take()[0].seq, 42);
     }
 
     #[test]
     fn snapshot_keys_pairs_contents_with_their_seq() {
-        let set = fresh(true);
+        let (set, log) = logged(round_path());
         let (keys, seq) = set.snapshot_keys();
         assert!(keys.is_empty());
         assert_eq!(seq, 0, "no rounds committed yet");
@@ -1866,19 +1869,19 @@ mod tests {
         assert_eq!(keys, vec![1, 5]);
         assert_eq!(seq, 3, "mark equals the last committed round's seq");
         assert_eq!(
-            set.take_rounds().last().unwrap().seq,
+            log.take().last().unwrap().seq,
             seq,
             "log agrees with the snapshot mark"
         );
         // Snapshot rounds commit no ops and consume no seq.
         set.insert(2);
-        assert_eq!(set.take_rounds()[0].seq, 4);
+        assert_eq!(log.take()[0].seq, 4);
     }
 
     #[test]
     fn stats_count_pooled_rounds() {
         // pool_cutoff 4 and single-op rounds: nothing goes through the pool.
-        let set = fresh(false);
+        let set = fresh();
         for k in 0..10 {
             set.insert(k);
         }
@@ -1892,7 +1895,6 @@ mod tests {
             Pool::new(1).unwrap(),
             Options {
                 pool_cutoff: 0,
-                log_rounds: false,
                 ..Options::default()
             },
         );
@@ -1943,7 +1945,6 @@ mod tests {
             Pool::new(1).unwrap(),
             Options {
                 pool_cutoff: 0,
-                log_rounds: false,
                 ..Options::default()
             },
         );
@@ -1966,7 +1967,7 @@ mod tests {
 
     #[test]
     fn registry_metrics_split_fast_and_slow_paths() {
-        let set = fresh(false);
+        let set = fresh();
         for k in 0..10 {
             set.insert(k);
         }
@@ -2004,7 +2005,7 @@ mod tests {
 
     #[test]
     fn batched_surface_commits_whole_batches_as_rounds() {
-        let set = fresh(true);
+        let (set, log) = logged(round_path());
         assert!(set.insert(5));
         let ins = set.batch_insert(&Batch::from_unsorted(vec![1u64, 5, 9]));
         assert_eq!(ins, vec![true, false, true]);
@@ -2016,7 +2017,7 @@ mod tests {
 
         // The log holds the point round plus one round per batch, each
         // batch round carrying its keys in batch order.
-        let rounds = set.take_rounds();
+        let rounds = log.take();
         assert_eq!(rounds.len(), 4);
         assert_eq!(rounds[1].ops.len(), 3);
         assert_eq!(
@@ -2042,13 +2043,13 @@ mod tests {
         set.batch_remove_report(&Batch::empty(), &mut out);
         assert!(out.is_empty(), "report variant clears stale flags");
         assert_eq!(set.stats(), before);
-        assert!(set.take_rounds().is_empty());
+        assert!(log.take().is_empty());
     }
 
     #[test]
     fn batched_surface_pools_large_batches() {
         // pool_cutoff 4: a 5-key batch must execute inside the pool.
-        let set = fresh(false);
+        let set = fresh();
         set.batch_insert(&Batch::from_unsorted(vec![1u64, 2, 3, 4, 5]));
         assert_eq!(set.stats().pooled_rounds, 1);
         set.batch_contains(&Batch::from_unsorted(vec![1u64, 2]));
@@ -2062,7 +2063,6 @@ mod tests {
             Pool::new(1).unwrap(),
             Options {
                 pool_cutoff: 0,
-                log_rounds: false,
                 ..Options::default()
             },
         );
@@ -2092,8 +2092,8 @@ mod tests {
             },
         );
         // Tracing off by default elsewhere:
-        assert!(fresh(false).take_trace().is_empty());
-        assert_eq!(fresh(false).trace_json(), "{\"dropped\": 0, \"spans\": []}");
+        assert!(fresh().take_trace().is_empty());
+        assert_eq!(fresh().trace_json(), "{\"dropped\": 0, \"spans\": []}");
 
         for k in 0..3 {
             set.insert(k);
@@ -2113,23 +2113,18 @@ mod tests {
         assert!(set.take_trace().is_empty(), "take drains");
     }
 
-    /// Snapshot-path harness: default `snapshot_reads: true`, log on so
-    /// the tests can prove reads *stay out* of the round log.
-    fn fresh_snap() -> ConcurrentSet<u64, VecSet> {
-        ConcurrentSet::with_options(
-            VecSet(Vec::new()),
-            Pool::new(1).unwrap(),
-            Options {
-                pool_cutoff: 4,
-                log_rounds: true,
-                ..Options::default()
-            },
-        )
+    /// Snapshot-path harness: default `snapshot_reads: true`, with a
+    /// [`RoundLog`] so the tests can prove reads *stay out* of the sink.
+    fn fresh_snap() -> (ConcurrentSet<u64, VecSet>, Arc<RoundLog<u64>>) {
+        logged(Options {
+            pool_cutoff: 4,
+            ..Options::default()
+        })
     }
 
     #[test]
     fn snapshot_reads_bypass_the_combiner() {
-        let set = fresh_snap();
+        let (set, log) = fresh_snap();
         // Read-your-writes: every acknowledged insert is visible to the
         // very next snapshot read.
         for k in [5u64, 1, 9] {
@@ -2151,7 +2146,7 @@ mod tests {
 
         // None of those reads entered a round: the log holds only the
         // four writes, and no Contains op anywhere.
-        let rounds = set.take_rounds();
+        let rounds = log.take();
         assert_eq!(rounds.len(), 4);
         assert!(rounds
             .iter()
@@ -2175,7 +2170,7 @@ mod tests {
 
     #[test]
     fn snapshots_are_frozen_at_their_seq() {
-        let set = fresh_snap();
+        let (set, _) = fresh_snap();
         set.batch_insert(&Batch::from_unsorted(vec![1u64, 2, 3]));
         let before = set.read_snapshot();
         assert!(set.insert(10));
@@ -2195,7 +2190,7 @@ mod tests {
 
     #[test]
     fn read_at_least_reads_the_named_write() {
-        let set = fresh_snap();
+        let (set, _) = fresh_snap();
         set.insert(7);
         let mark = set.committed_seq();
         assert_eq!(mark, 1);
@@ -2205,7 +2200,7 @@ mod tests {
 
         // With snapshot reads off, read-only rounds advance `committed`
         // without republishing: the mark trails, the contents do not.
-        let set = fresh(false);
+        let set = fresh();
         set.insert(1);
         assert!(set.contains(&1)); // a combining round of its own
         assert_eq!(set.committed_seq(), 2);
@@ -2222,7 +2217,7 @@ mod tests {
         // Regression: a `want` one past the last committed seq, with no
         // concurrent writers, used to spin forever — nothing would ever
         // commit it.  The bounded-wait contract returns an error instead.
-        let set = fresh_snap();
+        let (set, _) = fresh_snap();
         set.insert(7);
         let mark = set.committed_seq();
         let err = set.read_at_least(mark + 1).unwrap_err();
@@ -2241,13 +2236,13 @@ mod tests {
         let snap = set.read_at_least(mark + 1).unwrap();
         assert!(snap.view().contains(&8));
         // An empty, never-written set errors for any positive mark.
-        let idle = fresh_snap();
+        let (idle, _) = fresh_snap();
         assert!(idle.read_at_least(1).is_err());
     }
 
     #[test]
     fn range_reads_are_wait_free_snapshot_reads() {
-        let set = fresh_snap();
+        let (set, log) = fresh_snap();
         set.batch_insert(&Batch::from_unsorted((0..100u64).map(|i| i * 2).collect()));
         let before = set.metrics().counter("combine.snapshot_reads").unwrap();
 
@@ -2271,7 +2266,7 @@ mod tests {
         // moved and the round log gained nothing.
         let after = set.metrics().counter("combine.snapshot_reads").unwrap();
         assert!(after >= before + 9, "{before} -> {after}");
-        assert_eq!(set.take_rounds().len(), 1, "only the batch insert");
+        assert_eq!(log.take().len(), 1, "only the batch insert");
 
         // Staleness contract: a range read reflects acknowledged writes.
         set.insert(11);
@@ -2282,7 +2277,7 @@ mod tests {
 
         // With snapshot reads off the same queries linearise via rounds
         // and agree.
-        let set = fresh(false);
+        let set = fresh();
         set.batch_insert(&Batch::from_unsorted((0..50u64).collect()));
         assert_eq!(set.range_count(Bound::Unbounded, Bound::Excluded(&10)), 10);
         assert_eq!(set.kth(3), Some(3));
@@ -2294,7 +2289,7 @@ mod tests {
     fn publish_clone_keys_stays_zero_for_shared_roots() {
         // VecSet has no publish_root override: every mutating round clones
         // the whole contents, and the counter makes that cost visible.
-        let set = fresh_snap();
+        let (set, _) = fresh_snap();
         set.insert(1);
         set.insert(2);
         set.insert(3);
@@ -2367,7 +2362,8 @@ mod tests {
 
     #[test]
     fn concurrent_clients_agree_with_oracle_replay() {
-        let set = Arc::new(fresh(true));
+        let (set, log) = logged(round_path());
+        let set = Arc::new(set);
         let threads = 4;
         let per_thread = 300u64;
         let handles: Vec<_> = (0..threads)
@@ -2389,7 +2385,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let rounds = set.take_rounds();
+        let rounds = log.take();
         let total_ops: usize = rounds.iter().map(|r| r.ops.len()).sum();
         assert_eq!(total_ops as u64, threads * per_thread);
         // Replaying the committed rounds sequentially must reproduce every

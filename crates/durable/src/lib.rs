@@ -1,27 +1,27 @@
 //! Durability tier: a write-ahead log, snapshots and crash recovery
-//! layered over the flat-combining front-end's commit log.
+//! layered over the flat-combining front-end's round stream.
 //!
 //! The flat-combining combiner already produces exactly the artefact a
 //! write-ahead log needs: a totally-ordered stream of committed rounds,
-//! each stamped with a gap-free sequence number (`combine::Round::seq`).
-//! [`DurableSet`] drains that stream ([`combine::ConcurrentSet::take_rounds`])
-//! and appends one checksummed record per *mutation* round to an
-//! append-only segment log, amortising `fsync` over groups of rounds the
-//! same way combining amortises tree descents over groups of keys.
+//! each stamped with a gap-free sequence number.  [`DurableSet`] is that
+//! stream's sink ([`combine::RoundSink`]) and appends one checksummed
+//! record per *mutation* round to an append-only segment log, amortising
+//! `fsync` over groups of rounds the same way combining amortises tree
+//! descents over groups of keys.
 //!
 //! # The protocol
 //!
-//! * **Append.**  Every operation, after completing in memory, *publishes*:
-//!   it takes the wal lock, drains all committed-but-unappended rounds
-//!   (its own round among them — the combiner logs a round before
-//!   releasing any of its clients), strips reads and ineffective ops, and
-//!   appends the remainder as records.  The wal lock makes append order
-//!   equal commit order, so the log *is* the linearisation.
+//! * **Append.**  The combiner hands each committed round to the sink
+//!   before acknowledging any of its clients; the sink strips reads and
+//!   ineffective ops and appends the rest as one record under the round's
+//!   seq.  Rounds arrive one at a time in commit order, so the log *is*
+//!   the linearisation.
 //! * **Group commit.**  Records accumulate until
 //!   [`DurableOptions::group_commit`] of them are pending, then one
-//!   `fsync` covers them all.  `group_commit: 1` fsyncs on every mutation
-//!   round — each op is durable before its call returns; larger groups
-//!   trade bounded post-crash loss for an order of magnitude fewer
+//!   `fsync` covers them all, still inside the round: `group_commit: 1`
+//!   fsyncs on every mutation round before any of its clients is
+//!   acknowledged — each op is durable before its call returns; larger
+//!   groups trade bounded post-crash loss for an order of magnitude fewer
 //!   fsyncs.  [`DurableSet::durable_seq`] is the contract either way: it
 //!   advances only when records reach disk, so state at or below it
 //!   survives any crash.  [`DurableSet::sync`] forces the boundary.
@@ -30,11 +30,11 @@
 //!   captured at one linearisation point ([`combine::ConcurrentSet::snapshot_keys`],
 //!   which serves the combiner-published read snapshot without entering a
 //!   round), written to a snapshot file, and committed by atomically
-//!   renaming a manifest into place.  Because the combiner publishes a
-//!   round's snapshot *before* appending the round to the commit log, the
-//!   snapshot's seq covers every record already drained into the wal, so
-//!   *all* segments are deleted and the log restarts empty — bounded disk,
-//!   bounded recovery.
+//!   renaming a manifest into place, on a client thread after its op.
+//!   Because the combiner publishes a round's snapshot *before* handing
+//!   the round to the sink, the snapshot's seq covers every record
+//!   already appended, so *all* segments are deleted and the log restarts
+//!   empty — bounded disk, bounded recovery.
 //! * **Recover.**  [`DurableSet::open`] loads the manifest's snapshot (if
 //!   any) and replays log records with seq above it, in segment-name
 //!   order, into a fresh backend.  A torn final record — the signature of
@@ -108,10 +108,11 @@ pub use map::DurableMap;
 
 use std::io;
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 
 use batchapi::{Batch, BatchedSet, KeyCodec};
-use combine::{ConcurrentSet, OpKind, Options};
+use combine::{ConcurrentSet, OpKind, Options, RoundOp, RoundSink};
 use forkjoin::Pool;
 
 use crate::wal::{Log, Wal};
@@ -129,9 +130,8 @@ pub struct DurableOptions {
     pub snapshot_every: u64,
     /// Size threshold, in bytes, at which the active log segment rotates.
     pub segment_bytes: u64,
-    /// Options for the wrapped flat-combining front-end.  `log_rounds`
-    /// and `first_seq` are overwritten — the WAL *is* the round log's
-    /// consumer, and recovery dictates the numbering.
+    /// Options for the wrapped flat-combining front-end.  `first_seq` is
+    /// overwritten: recovery dictates the numbering.
     pub combine: Options,
 }
 
@@ -151,23 +151,64 @@ impl Default for DurableOptions {
 /// snapshots, and recovered by [`DurableSet::open`].  See the crate docs
 /// for the protocol and the crash-consistency contract.
 ///
-/// Operations return `io::Result`: besides its own round, each call may
-/// drain and append *other* clients' rounds and trip the group-commit
-/// fsync, any of which can fail.  After an error the instance is
-/// *wedged* — later calls fail fast — and reopening the directory
-/// recovers everything durable up to that point.
-pub struct DurableSet<K, S>
-where
-    K: Ord + Clone + Send + Sync + KeyCodec + 'static,
-    S: BatchedSet<K> + Send,
-{
+/// Operations return `io::Result`: the round carrying a call's op is
+/// appended, and may trip the group-commit fsync, before the call returns.
+/// After an I/O error the instance is *wedged* — that round's calls and
+/// every later call fail fast — and reopening the directory recovers
+/// everything durable up to that point.
+pub struct DurableSet<K, S> {
     inner: ConcurrentSet<K, S>,
-    /// The WAL engine, instantiated with no values: a set is a map with
-    /// `V = ()`.
+    /// The WAL, shared with `inner` as its round sink.
+    sink: Arc<WalSink<K>>,
+}
+
+/// The set tier's round sink: the WAL engine, instantiated with no values
+/// (a set is a map with `V = ()`), and its log under the wal lock, which
+/// the combiner's appends share with `sync` and `snapshot`.
+struct WalSink<K> {
     wal: Wal<K, ()>,
-    /// The wal lock: taken after each op to drain the combiner's rounds,
-    /// it makes WAL append order equal round commit order.
     log: Mutex<Log>,
+    /// Set by an append that brought the snapshot cadence due; read
+    /// without the lock after each op, so the snapshot runs on a client
+    /// thread, outside the combiner.  `Relaxed`: it publishes no data
+    /// (the snapshot itself runs under the lock).
+    snapshot_due: AtomicBool,
+}
+
+impl<K: Ord + KeyCodec> WalSink<K> {
+    /// Runs `f` under the wal lock and the engine's wedge rule.
+    fn with_log<T>(&self, f: impl FnOnce(&mut Log) -> io::Result<T>) -> io::Result<T> {
+        let mut log = self.log.lock().expect("wal lock poisoned by a panic");
+        self.wal.guard(&mut log, f)
+    }
+}
+
+impl<K: Ord + KeyCodec + Send + Sync> RoundSink<K> for WalSink<K> {
+    fn round(&self, seq: u64, ops: &mut dyn Iterator<Item = RoundOp<&K>>) {
+        self.wal.count_round();
+        // Keep only ops that changed state: reads replay to nothing, and a
+        // failed insert/remove is a no-op too.  Sequence gaps this leaves
+        // in the WAL are expected (crate docs).
+        let mut muts = ops
+            .filter_map(|op| match op.kind {
+                OpKind::Insert if op.result => Some((op.key, Some(&()))),
+                OpKind::Remove if op.result => Some((op.key, None)),
+                _ => None,
+            })
+            .peekable();
+        if muts.peek().is_none() {
+            return;
+        }
+        // An error wedges the engine, which every client of this round
+        // checks once it is acknowledged.  A due snapshot is left to them.
+        let _ = self.with_log(|log| {
+            self.wal.append(log, seq, muts)?;
+            self.wal.commit(log, |_| {
+                self.snapshot_due.store(true, Ordering::Relaxed);
+                Ok(())
+            })
+        });
+    }
 }
 
 impl<K, S> DurableSet<K, S>
@@ -205,62 +246,63 @@ where
         // continuing where the history left off.
         let keys: Vec<K> = contents.into_keys().collect();
         let batch = Batch::from_sorted(keys).expect("BTreeMap iterates strictly ascending");
-        let inner = ConcurrentSet::with_options(
+        let first_seq = log.appended_seq();
+        let sink = Arc::new(WalSink {
+            wal,
+            log: Mutex::new(log),
+            snapshot_due: AtomicBool::new(false),
+        });
+        let inner = ConcurrentSet::with_sink(
             make_backend(batch),
             pool,
             Options {
-                log_rounds: true,
-                first_seq: log.appended_seq(),
+                first_seq,
                 ..options.combine
             },
+            sink.clone(),
         );
-        Ok(DurableSet {
-            inner,
-            wal,
-            log: Mutex::new(log),
-        })
+        Ok(DurableSet { inner, sink })
     }
 
     /// Inserts `key`; `Ok(true)` iff it was newly inserted.  Durable on
     /// return only under `group_commit: 1` — otherwise durable once
     /// [`DurableSet::durable_seq`] passes its round (see the crate docs).
     pub fn insert(&self, key: K) -> io::Result<bool> {
-        self.publish(self.inner.insert(key))
+        self.settle(self.inner.insert(key))
     }
 
     /// Removes `key`; `Ok(true)` iff it was present.
     pub fn remove(&self, key: &K) -> io::Result<bool> {
-        self.publish(self.inner.remove(key))
+        self.settle(self.inner.remove(key))
     }
 
-    /// Membership test.  Reads change nothing, but the call still
-    /// publishes: it may drain and append *other* clients' committed
-    /// rounds, which is why it, too, can fail.
+    /// Membership test.  Reads append nothing, but fail once the set is
+    /// wedged, like every other call.
     pub fn contains(&self, key: &K) -> io::Result<bool> {
-        self.publish(self.inner.contains(key))
+        self.settle(self.inner.contains(key))
     }
 
     /// Batch insert; one combining round, one WAL record.
     pub fn batch_insert(&self, batch: &Batch<K>) -> io::Result<Vec<bool>> {
-        self.publish(self.inner.batch_insert(batch))
+        self.settle(self.inner.batch_insert(batch))
     }
 
     /// Batch remove; one combining round, one WAL record.
     pub fn batch_remove(&self, batch: &Batch<K>) -> io::Result<Vec<bool>> {
-        self.publish(self.inner.batch_remove(batch))
+        self.settle(self.inner.batch_remove(batch))
     }
 
-    /// Batch membership test (publishes, like [`DurableSet::contains`]).
+    /// Batch membership test; fails once wedged, like every call.
     pub fn batch_contains(&self, batch: &Batch<K>) -> io::Result<Vec<bool>> {
-        self.publish(self.inner.batch_contains(batch))
+        self.settle(self.inner.batch_contains(batch))
     }
 
-    /// Number of keys in the set (in memory; does not publish).
+    /// Number of keys in the set (in memory).
     pub fn len(&self) -> usize {
         self.inner.len()
     }
 
-    /// Whether the set is empty (in memory; does not publish).
+    /// Whether the set is empty (in memory).
     pub fn is_empty(&self) -> bool {
         self.inner.is_empty()
     }
@@ -268,10 +310,9 @@ where
     /// Forces everything committed so far onto disk and returns the new
     /// durable high-water sequence number.
     pub fn sync(&self) -> io::Result<u64> {
-        self.with_log(|log| {
-            self.drain_into(log)?;
-            self.wal.fsync(log)?;
-            Ok(self.wal.durable_seq())
+        self.sink.with_log(|log| {
+            self.sink.wal.fsync(log)?;
+            Ok(self.sink.wal.durable_seq())
         })
     }
 
@@ -279,115 +320,68 @@ where
     /// and truncates the log; returns the snapshot's sequence number.
     /// Everything at or below it is durable when this returns.
     pub fn snapshot(&self) -> io::Result<u64> {
-        self.with_log(|log| {
-            self.drain_into(log)?;
-            self.snapshot_into(log)
-        })
+        self.sink.with_log(|log| self.snapshot_into(log))
     }
 
     /// The durable high-water mark: every round with seq at or below this
     /// has reached disk (via fsynced records or a committed snapshot) and
     /// survives any crash.
     pub fn durable_seq(&self) -> u64 {
-        self.wal.durable_seq()
+        self.sink.wal.durable_seq()
     }
 
     /// Snapshot of the `durable.*` metrics (see the README's metrics
     /// table).  The wrapped front-end's `combine.*` metrics live on
     /// [`DurableSet::inner`]`.metrics()`.
     pub fn metrics(&self) -> obs::Snapshot {
-        self.wal.metrics()
+        self.sink.wal.metrics()
     }
 
     /// The wrapped flat-combining front-end, for its stats, metrics and
-    /// traces.  Issuing *writes* through it does not lose them — they are
-    /// drained on the next publish — but they bypass group commit's
-    /// timing, so their durability point is some later client's call.
+    /// traces.  Writes issued through it reach the WAL like any other:
+    /// their rounds go through the same sink.
     pub fn inner(&self) -> &ConcurrentSet<K, S> {
         &self.inner
     }
 
-    /// Drains and fsyncs, then closes.  [`Drop`] does the same on a best-
-    /// effort basis; `close` is the variant that reports the error.
+    /// Fsyncs, then closes.  Dropping the set fsyncs too, on a
+    /// best-effort basis; `close` is the variant that reports the error.
     pub fn close(self) -> io::Result<()> {
         self.sync().map(|_| ())
     }
 
-    /// The post-op durability step: under the wal lock, drain every
-    /// committed round, append the mutations, and run group commit and
-    /// the snapshot cadence (see the crate docs' protocol section); then
-    /// hand back the op's `result`.
-    fn publish<T>(&self, result: T) -> io::Result<T> {
-        self.with_log(|log| {
-            self.drain_into(log)?;
-            self.wal.commit(log, |log| self.snapshot_into(log))
-        })?;
+    /// The post-op step: fail once wedged, and take the snapshot the
+    /// cadence made due; then hand back the op's `result`.  Lock-free
+    /// unless a snapshot is due.
+    fn settle<T>(&self, result: T) -> io::Result<T> {
+        self.sink.wal.check()?;
+        let due = &self.sink.snapshot_due;
+        if due.load(Ordering::Relaxed) && due.swap(false, Ordering::Relaxed) {
+            self.snapshot()?;
+        }
         Ok(result)
     }
 
-    /// Runs `f` under the wal lock and the engine's wedge rule.
-    fn with_log<T>(&self, f: impl FnOnce(&mut Log) -> io::Result<T>) -> io::Result<T> {
-        self.log
-            .lock()
-            .expect("durable set poisoned: a thread panicked holding the wal lock")
-            .guard(f)
-    }
-
-    /// Drains the combiner's round log and appends one record per
-    /// mutation round.  Caller holds the wal lock.
-    fn drain_into(&self, log: &mut Log) -> io::Result<()> {
-        let rounds = self.inner.take_rounds();
-        self.wal.count_rounds(rounds.len());
-        for round in &rounds {
-            // Keep only ops that changed state: reads replay to nothing,
-            // and a failed insert/remove is a no-op too.  Sequence gaps
-            // this leaves in the WAL are expected (crate docs).
-            let muts = round.ops.iter().filter_map(|op| match op.kind {
-                OpKind::Insert if op.result => Some((&op.key, Some(&()))),
-                OpKind::Remove if op.result => Some((&op.key, None)),
-                _ => None,
-            });
-            self.wal.append(log, round.seq, muts)?;
-        }
-        Ok(())
-    }
-
     /// Snapshots the set and truncates the log.  Caller holds the wal
-    /// lock and has drained.
+    /// lock.
     fn snapshot_into(&self, log: &mut Log) -> io::Result<u64> {
-        // One linearisation point: contents plus their high-water seq,
-        // read from the combiner-published snapshot (no round entered).
-        // Every record drained above carries seq <= snap_seq, because its
-        // round published the snapshot cell *before* entering the commit
-        // log and the cell is monotone.  Rounds that publish between the
-        // drain and this load land in the *next* segment with seq <= snap
-        // — skipped at replay, harmless (the snapshot already holds them).
+        // One linearisation point, read from the combiner-published
+        // snapshot.  Every record appended so far has seq <= snap_seq: its
+        // round published the (monotone) cell before reaching the sink.  A
+        // round published before this load but appended after it lands in
+        // the *next* segment with seq <= snap_seq — skipped at replay.
         let (keys, snap_seq) = self.inner.snapshot_keys();
-        self.wal
+        self.sink.snapshot_due.store(false, Ordering::Relaxed);
+        self.sink
+            .wal
             .snapshot(log, snap_seq, keys.iter().map(|key| (key, &())))
-    }
-}
-
-impl<K, S> Drop for DurableSet<K, S>
-where
-    K: Ord + Clone + Send + Sync + KeyCodec + 'static,
-    S: BatchedSet<K> + Send,
-{
-    fn drop(&mut self) {
-        // Best-effort final drain (the engine's log fsyncs it as it
-        // drops), skipped when the front-end or the wal mutex is poisoned.
-        if !self.inner.is_poisoned() {
-            if let Ok(mut log) = self.log.lock() {
-                let _ = log.guard(|log| self.drain_into(log));
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::list_segments;
+    use crate::log::{list_segments, segment_path};
     use std::collections::BTreeSet;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -727,6 +721,81 @@ mod tests {
         assert!(
             after > before,
             "new rounds must continue the old numbering ({after} vs {before})"
+        );
+        drop(set);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn writes_through_inner_are_durable_on_return() {
+        let dir = scratch_dir("inner");
+        let set = open(
+            &dir,
+            DurableOptions {
+                group_commit: 1,
+                ..DurableOptions::default()
+            },
+        );
+        // The front-end's own calls: no `DurableSet` call follows them, yet
+        // each round was appended and fsynced before it was acknowledged.
+        assert!(set.inner().insert(7));
+        assert!(set.durable_seq() >= set.inner().committed_seq());
+        set.inner()
+            .batch_insert(&Batch::from_unsorted(vec![1u64, 2, 3]));
+        assert!(set.inner().remove(&2));
+        assert!(set.durable_seq() >= set.inner().committed_seq());
+        drop(set);
+
+        let set = open(&dir, DurableOptions::default());
+        assert_eq!(set.inner().snapshot_keys().0, vec![1, 3, 7]);
+        drop(set);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_io_error_wedges_the_set_and_reopen_recovers_the_durable_prefix() {
+        let dir = scratch_dir("wedge");
+        let options = DurableOptions {
+            segment_bytes: 1,
+            group_commit: 1,
+            ..DurableOptions::default()
+        };
+        let set = open(&dir, options.clone());
+        assert!(set.insert(1).unwrap());
+        let durable = set.durable_seq();
+        assert_eq!(durable, set.inner().committed_seq());
+
+        // Every append rotates first (1-byte segments); a directory where
+        // the next segment file goes makes that rotation's create fail.
+        let last = list_segments(&dir).unwrap().last().unwrap().0;
+        let blocker = segment_path(&dir, (durable + 1).max(last + 1));
+        std::fs::create_dir(&blocker).unwrap();
+
+        assert!(
+            set.insert(2).is_err(),
+            "the failing round reports the error"
+        );
+        assert_eq!(set.durable_seq(), durable);
+        let wedged = |result: io::Result<()>| {
+            let err = result.expect_err("a wedged set fails every call");
+            assert!(err.to_string().contains("wedged"), "{err}");
+        };
+        for key in 3..6u64 {
+            wedged(set.insert(key).map(drop));
+            wedged(set.contains(&key).map(drop));
+            wedged(set.sync().map(drop));
+            assert!(set.durable_seq() <= durable, "nothing past the last fsync");
+        }
+        assert!(!set.inner().is_poisoned(), "a wedge is not a poison");
+        drop(set);
+
+        std::fs::remove_dir(&blocker).unwrap();
+        let set = open(&dir, options);
+        let recovered: BTreeSet<u64> = set.inner().snapshot_keys().0.into_iter().collect();
+        assert!(recovered.contains(&1), "the durable prefix survives");
+        assert!(
+            recovered.is_subset(&(1..6).collect()),
+            "no key that was never inserted: {recovered:?}"
         );
         drop(set);
         std::fs::remove_dir_all(&dir).unwrap();

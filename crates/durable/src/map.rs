@@ -7,8 +7,8 @@
 //!
 //! # Concurrency model
 //!
-//! Unlike [`DurableSet`], which layers the WAL over the flat-combining
-//! front-end's commit log, `DurableMap` serialises every operation through
+//! Unlike [`DurableSet`], which is the round sink of a flat-combining
+//! front-end, `DurableMap` serialises every operation through
 //! one mutex holding the backend *and* the WAL together.  That single
 //! critical section makes append order trivially equal to commit order —
 //! the WAL is the linearisation — at the cost of no combining: one writer
@@ -215,7 +215,7 @@ where
     fn with_log<T>(&self, f: impl FnOnce(&mut M, &mut Log) -> io::Result<T>) -> io::Result<T> {
         let mut inner = self.locked();
         let (map, log) = &mut *inner;
-        log.guard(|log| f(map, log))
+        self.wal.guard(log, |log| f(map, log))
     }
 
     /// Logs one applied round as the next record (none when `ops` is
@@ -231,7 +231,7 @@ where
         K: 'a,
         V: 'a,
     {
-        self.wal.count_rounds(1);
+        self.wal.count_round();
         let seq = log.appended_seq() + 1;
         self.wal.append(log, seq, ops)?;
         self.wal.commit(log, |log| self.snapshot_into(map, log))

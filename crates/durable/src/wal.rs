@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use batchapi::KeyCodec;
@@ -73,12 +74,18 @@ pub(crate) struct Wal<K, V> {
     snapshot_every: u64,
     registry: Registry,
     metrics: Metrics,
+    /// Set when an I/O error left the on-disk log in an unknown state:
+    /// later durability calls refuse (appending past a possibly-partial
+    /// record would corrupt the log), the in-memory contents keep working,
+    /// and reopening recovers the durable prefix.  Checked lock-free; the
+    /// `Release` store pairs with the `Acquire` load in `check`.
+    wedged: AtomicBool,
     _codec: PhantomData<fn(K, V)>,
 }
 
-/// The engine's mutable half.  The tier keeps it under the lock that
-/// orders its commits: holding that lock across append is what makes
-/// WAL append order equal commit order.
+/// The engine's mutable half, kept under the tier's lock.  Appends must
+/// arrive in commit order: the set tier's come from the combiner, one
+/// round at a time; the map tier's from under its one mutex.
 #[derive(Debug)]
 pub(crate) struct Log {
     segment: SegmentLog,
@@ -93,12 +100,6 @@ pub(crate) struct Log {
     since_snapshot: u64,
     /// Encode scratch, reused across appends.
     buf: Vec<u8>,
-    /// Set when an I/O error left the on-disk log in an unknown state;
-    /// every later durability call refuses, because appending past a
-    /// possibly-partial record would corrupt the log.  The in-memory
-    /// contents keep working; reopening the directory recovers the
-    /// durable prefix.
-    wedged: bool,
 }
 
 impl Log {
@@ -107,24 +108,9 @@ impl Log {
         self.appended_seq
     }
 
-    /// The wedge rule: refuse if an earlier call failed, wedge if this
-    /// one does.
-    pub(crate) fn guard<T>(&mut self, f: impl FnOnce(&mut Log) -> io::Result<T>) -> io::Result<T> {
-        if self.wedged {
-            return Err(io::Error::other(
-                "durable tier wedged by an earlier I/O error; reopen the directory to recover",
-            ));
-        }
-        let result = f(self);
-        if result.is_err() {
-            self.wedged = true;
-        }
-        result
-    }
-
     /// The name for the next segment: past the last appended record *and*
     /// past every name already used (post-snapshot segments can carry
-    /// late-drained records numbered below their name, so `appended_seq`
+    /// late-appended records numbered below their name, so `appended_seq`
     /// alone could repeat a name and truncate a live segment).
     fn next_name(&self) -> u64 {
         (self.appended_seq + 1).max(self.last_name + 1)
@@ -133,9 +119,9 @@ impl Log {
 
 impl Drop for Log {
     /// Best-effort final fsync; the tiers' `close` is the error-reporting
-    /// path.  Skipped when wedged: the log's tail is in an unknown state.
+    /// path.  Never runs on a wedged log: wedging drops `pending` to 0.
     fn drop(&mut self) {
-        if !self.wedged && self.pending > 0 {
+        if self.pending > 0 {
             let _ = self.segment.sync();
         }
     }
@@ -254,6 +240,7 @@ impl<K: Ord + KeyCodec, V: KeyCodec> Wal<K, V> {
             snapshot_every: options.snapshot_every,
             registry,
             metrics,
+            wedged: AtomicBool::new(false),
             _codec: PhantomData,
         };
         let log = Log {
@@ -263,7 +250,6 @@ impl<K: Ord + KeyCodec, V: KeyCodec> Wal<K, V> {
             pending: 0,
             since_snapshot: 0,
             buf: Vec::new(),
-            wedged: false,
         };
         Ok((wal, log, contents))
     }
@@ -279,9 +265,34 @@ impl<K: Ord + KeyCodec, V: KeyCodec> Wal<K, V> {
         self.registry.snapshot()
     }
 
-    /// Counts `n` linearisation steps handed to the log, logged or not.
-    pub(crate) fn count_rounds(&self, n: usize) {
-        self.metrics.rounds_drained.add(n as u64);
+    /// The wedge rule: refuse if an earlier call failed, wedge if this
+    /// one does, giving up on the records not yet fsynced — no later
+    /// fsync, the drop flush included, may touch a log in an unknown state.
+    pub(crate) fn guard<T>(
+        &self,
+        log: &mut Log,
+        f: impl FnOnce(&mut Log) -> io::Result<T>,
+    ) -> io::Result<T> {
+        self.check()?;
+        f(log).inspect_err(|_| {
+            log.pending = 0;
+            self.wedged.store(true, Ordering::Release);
+        })
+    }
+
+    /// `Err` once an I/O error has wedged the engine; takes no lock.
+    pub(crate) fn check(&self) -> io::Result<()> {
+        if self.wedged.load(Ordering::Acquire) {
+            return Err(io::Error::other(
+                "durable tier wedged by an earlier I/O error; reopen the directory to recover",
+            ));
+        }
+        Ok(())
+    }
+
+    /// Counts one linearisation step handed to the log, logged or not.
+    pub(crate) fn count_round(&self) {
+        self.metrics.rounds_drained.inc();
     }
 
     /// Appends one record of `ops` (`(key, Some(value))` puts, `(key,
@@ -325,10 +336,10 @@ impl<K: Ord + KeyCodec, V: KeyCodec> Wal<K, V> {
     /// fsync once [`DurableOptions::group_commit`] records are pending,
     /// and call `snapshot` once [`DurableOptions::snapshot_every`] records
     /// have accumulated since the last one.
-    pub(crate) fn commit(
+    pub(crate) fn commit<T>(
         &self,
         log: &mut Log,
-        snapshot: impl FnOnce(&mut Log) -> io::Result<u64>,
+        snapshot: impl FnOnce(&mut Log) -> io::Result<T>,
     ) -> io::Result<()> {
         if log.pending >= self.group_commit {
             self.fsync(log)?;

@@ -241,7 +241,7 @@ where
         &self.shards[shard]
     }
 
-    /// Drains and fsyncs every shard, then closes; first error wins (the
+    /// Fsyncs every shard, then closes; first error wins (the
     /// remaining shards still run their best-effort `Drop` sync).
     pub fn close(self) -> io::Result<()> {
         self.shards.into_iter().try_for_each(DurableSet::close)

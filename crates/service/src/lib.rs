@@ -100,7 +100,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use batchapi::{Batch, BatchedSet};
-use combine::{ConcurrentSet, OpKind, Round};
+use combine::{ConcurrentSet, OpKind};
 use forkjoin::Pool;
 use obs::{Counter, Histogram, Registry, Snapshot};
 
@@ -492,14 +492,6 @@ where
     /// router's shard numbering.
     pub fn shard_metrics(&self) -> Vec<Snapshot> {
         self.shards.iter().map(ConcurrentSet::metrics).collect()
-    }
-
-    /// Drains every shard's committed-round log (empty unless the shards
-    /// were built with [`combine::Options::log_rounds`]), index-aligned
-    /// with the router's shard numbering.  Each shard's log is that
-    /// shard's linearisation witness.
-    pub fn take_shard_rounds(&self) -> Vec<Vec<Round<K>>> {
-        self.shards.iter().map(ConcurrentSet::take_rounds).collect()
     }
 
     /// Consumes the tier, returning its shards (dropping the tier pool).

@@ -28,7 +28,7 @@ use std::thread;
 use pbist_repro::{
     baselines::SortedArraySet,
     batchapi::{Batch, BatchedSet},
-    combine::{ConcurrentSet, OpKind as CombinedOp, Options},
+    combine::{ConcurrentSet, OpKind as CombinedOp, Options, RoundLog},
     forkjoin::Pool,
     pbist::IstSet,
     workloads::{self, ClientTrace, OpKind},
@@ -45,12 +45,12 @@ fn drive_and_verify(
 ) {
     let pool = Pool::new(pool_threads).unwrap_or_else(|e| panic!("{ctx}: pool: {e}"));
     let backing = IstSet::from_unsorted(initial.to_vec());
-    let set = Arc::new(ConcurrentSet::with_options(
+    let log = Arc::new(RoundLog::default());
+    let set = Arc::new(ConcurrentSet::with_sink(
         backing,
         pool,
         Options {
             pool_cutoff,
-            log_rounds: true,
             // This harness checks the *combining* path: every op — contains
             // included — must appear in the round log, so the wait-free
             // snapshot read path is pinned off.  The staleness-contract test
@@ -58,6 +58,7 @@ fn drive_and_verify(
             snapshot_reads: false,
             ..Options::default()
         },
+        log.clone(),
     ));
 
     let observed: Vec<Vec<bool>> = thread::scope(|s| {
@@ -80,7 +81,7 @@ fn drive_and_verify(
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    let rounds = set.take_rounds();
+    let rounds = log.take();
     let total_ops: usize = traces.iter().map(|t| t.len()).sum();
     assert_eq!(
         rounds.iter().map(|r| r.ops.len()).sum::<usize>(),
@@ -311,13 +312,12 @@ fn stats_snapshots_never_show_rounds_ahead_of_ops() {
 #[test]
 fn snapshot_reads_satisfy_the_staleness_contract() {
     let pool = Pool::new(2).unwrap();
-    let set = Arc::new(ConcurrentSet::with_options(
+    let log = Arc::new(RoundLog::default());
+    let set = Arc::new(ConcurrentSet::with_sink(
         IstSet::from_unsorted(Vec::new()),
         pool,
-        Options {
-            log_rounds: true,
-            ..Options::default()
-        },
+        Options::default(),
+        log.clone(),
     ));
     let clients = 4u64;
     let per_client = 400u64;
@@ -367,7 +367,7 @@ fn snapshot_reads_satisfy_the_staleness_contract() {
 
     // Reads bypassed the combiner entirely: the round log holds writes
     // only, and the op counter agrees.
-    let rounds = set.take_rounds();
+    let rounds = log.take();
     assert!(
         rounds
             .iter()
@@ -454,13 +454,12 @@ struct RangeRead {
 #[test]
 fn snapshot_range_reads_replay_against_the_committed_rounds() {
     let pool = Pool::new(2).unwrap();
-    let set = Arc::new(ConcurrentSet::with_options(
+    let log = Arc::new(RoundLog::default());
+    let set = Arc::new(ConcurrentSet::with_sink(
         IstSet::from_unsorted(Vec::new()),
         pool,
-        Options {
-            log_rounds: true,
-            ..Options::default()
-        },
+        Options::default(),
+        log.clone(),
     ));
     let clients = 4u64;
     let per_client = 300u64;
@@ -519,7 +518,7 @@ fn snapshot_range_reads_replay_against_the_committed_rounds() {
     });
 
     // Ordered reads bypassed the combiner: the log holds writes only.
-    let rounds = set.take_rounds();
+    let rounds = log.take();
     assert!(
         rounds
             .iter()
@@ -637,15 +636,14 @@ impl BatchedSet<u64> for BombSet {
 /// answers with the last good snapshot.
 #[test]
 fn snapshot_keys_never_observes_a_half_applied_round() {
-    let set = Arc::new(ConcurrentSet::with_options(
+    let log = Arc::new(RoundLog::default());
+    let set = Arc::new(ConcurrentSet::with_sink(
         BombSet {
             inner: SortedArraySet::from_unsorted(Vec::new()),
         },
         Pool::new(1).unwrap(),
-        Options {
-            log_rounds: true,
-            ..Options::default()
-        },
+        Options::default(),
+        log.clone(),
     ));
 
     let observed: Vec<Vec<(Vec<u64>, u64)>> = thread::scope(|s| {
@@ -682,7 +680,7 @@ fn snapshot_keys_never_observes_a_half_applied_round() {
 
     // Replay the committed rounds (the panicked round never logged, never
     // published) and pin every observed pair to its seq's exact state.
-    let rounds = set.take_rounds();
+    let rounds = log.take();
     let mut states: HashMap<u64, Vec<u64>> = HashMap::new();
     let mut oracle: BTreeSet<u64> = BTreeSet::new();
     states.insert(0, Vec::new());

@@ -35,7 +35,7 @@ use std::thread;
 use pbist_repro::{
     baselines::SortedArraySet,
     batchapi::{Batch, BatchedSet},
-    combine::{ConcurrentSet, OpKind as CombinedOp, Options},
+    combine::{ConcurrentSet, OpKind as CombinedOp, Options, RoundLog},
     forkjoin::Pool,
     pbist::IstSet,
     service::{HashRouter, RangeRouter, ShardRouter, ShardedOptions, ShardedSet},
@@ -81,15 +81,17 @@ fn drive_and_verify_sharded<R>(
     for &key in initial {
         per_shard_initial[router.shard_of(&key)].push(key);
     }
+    // One round log per shard: each is that shard's linearisation witness.
+    let logs: Vec<Arc<RoundLog<u64>>> = (0..num_shards).map(|_| Arc::default()).collect();
     let shards = per_shard_initial
         .iter()
-        .map(|keys| {
-            ConcurrentSet::with_options(
+        .zip(&logs)
+        .map(|(keys, log)| {
+            ConcurrentSet::with_sink(
                 IstSet::from_unsorted(keys.clone()),
                 Pool::new(shard_pool_threads).unwrap_or_else(|e| panic!("{ctx}: shard pool: {e}")),
                 Options {
                     pool_cutoff,
-                    log_rounds: true,
                     // The replay checks demand every op — contains included —
                     // in the shard logs, so the wait-free snapshot read path
                     // is pinned off.  The staleness-contract test below
@@ -97,6 +99,7 @@ fn drive_and_verify_sharded<R>(
                     snapshot_reads: false,
                     ..Options::default()
                 },
+                log.clone(),
             )
         })
         .collect();
@@ -153,7 +156,7 @@ fn drive_and_verify_sharded<R>(
             )
         });
 
-    let shard_rounds = set.take_shard_rounds();
+    let shard_rounds: Vec<_> = logs.iter().map(|log| log.take()).collect();
     let point_ops: usize = traces.iter().map(Vec::len).sum();
     let batch_keys: usize = scripts
         .iter()
